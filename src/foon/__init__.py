@@ -9,10 +9,8 @@ from .model import (
     ObjectNode,
     SearchStats,
     UniversalFOON,
-    insert_unit,
     object_key,
     unit_equals,
-    units_producing,
 )
 from .oracle import BudgetExceeded, GeneratorConfig, generate_instance, oracle_search
 from .parser import (
@@ -51,7 +49,6 @@ __all__ = [
     "TaskTree",
     "UniversalFOON",
     "generate_instance",
-    "insert_unit",
     "merge",
     "merge_stats",
     "object_key",
@@ -66,6 +63,5 @@ __all__ = [
     "serialize_subgraph",
     "tree_size",
     "unit_equals",
-    "units_producing",
     "validate_task_tree",
 ]

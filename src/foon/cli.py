@@ -42,6 +42,15 @@ def _read(path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _InputError(f"{path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"{path}: not UTF-8 text: {exc}")
+
+
+def _write(path, text):
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _InputError(f"{path}: {exc.strerror or exc}")
 
 
 def _parse_file(path, parse_fn):
@@ -85,8 +94,7 @@ def cmd_merge(args) -> int:
     ]
     foon = merge(docs)
     total, duplicates = merge_stats(docs, foon)
-    Path(args.out).write_text(
-        serialize_subgraph(SubgraphDocument(units=foon.units)), encoding="utf-8")
+    _write(args.out, serialize_subgraph(SubgraphDocument(units=foon.units)))
     print(f"units: {len(foon.units)}")
     print(f"input units: {total}")
     print(f"duplicates removed: {duplicates}")
@@ -109,8 +117,7 @@ def cmd_search(args) -> int:
         print(f"blocked objects: {blocked}", file=sys.stderr)
         return EXIT_NO_SOLUTION
     tree = outcome.tree
-    Path(args.out).write_text(
-        serialize_subgraph(SubgraphDocument(units=tree.units)), encoding="utf-8")
+    _write(args.out, serialize_subgraph(SubgraphDocument(units=tree.units)))
     print(f"size: {tree_size(tree)}")
     print(f"expansions: {tree.stats.expansions}")
     print(f"max stack depth: {tree.stats.max_stack_depth}")
@@ -151,7 +158,7 @@ def cmd_bench(args) -> int:
             raise _InputError(f"goal {spec!r}: {exc}")
         rows.append(row)
         successes += ok
-    Path(args.out).write_text("\n".join(rows) + "\n", encoding="utf-8")
+    _write(args.out, "\n".join(rows) + "\n")
     for row in rows:
         print(row)
     if goal_specs and not successes:
@@ -163,7 +170,7 @@ def cmd_dot(args) -> int:
     doc = _parse_file(args.foon, parse_subgraph)
     for index, unit in enumerate(doc.units):
         unit.source_index = index
-    Path(args.out).write_text(to_dot(doc.units), encoding="utf-8")
+    _write(args.out, to_dot(doc.units))
     return EXIT_OK
 
 

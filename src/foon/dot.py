@@ -1,7 +1,7 @@
 """Graphviz DOT export for FOONs and task trees."""
 from __future__ import annotations
 
-from .model import object_key
+from .model import ObjectNode, object_key
 
 
 def _escape(text: str) -> str:
@@ -16,17 +16,16 @@ def to_dot(units) -> str:
     """
     ordered = sorted(units, key=lambda unit: (unit.source_index, unit.motion.label))
     lines = ["digraph foon {"]
-    object_ids: dict[str, str] = {}
+    object_ids: dict[ObjectNode, str] = {}
     node_lines = []
     edge_lines = []
 
     def object_id(obj):
-        key = object_key(obj)
-        if key not in object_ids:
-            object_ids[key] = f"o{len(object_ids)}"
+        if obj not in object_ids:
+            object_ids[obj] = f"o{len(object_ids)}"
             label = _escape(obj.name) + "\\n" + _escape(",".join(sorted(obj.states)))
-            node_lines.append(f'  {object_ids[key]} [shape=ellipse, label="{label}"];')
-        return object_ids[key]
+            node_lines.append(f'  {object_ids[obj]} [shape=ellipse, label="{label}"];')
+        return object_ids[obj]
 
     for position, unit in enumerate(ordered):
         motion_id = f"m{position}"

@@ -2,15 +2,15 @@
 
 A FOON is a bipartite graph of object nodes and motion nodes. Its atomic
 element is the functional unit: input objects, one motion, output objects.
-Everything downstream (merging, retrieval) keys off the canonical identity
-rules defined here.
+Everything downstream (merging, retrieval) keys off the identity rules
+defined here: an ``ObjectNode`` is its own identity, compared and hashed
+on name, states and ingredients.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-# Reserved separators for canonical identity keys. Object names, states and
-# ingredients must not contain them; the parser never produces tokens that do.
+# Separators of the printable object key; ``_encode`` escapes them in tokens.
 _KEY_SEP = "|"
 _ITEM_SEP = ";"
 
@@ -68,10 +68,12 @@ def _encode(token: str) -> str:
 
 
 def object_key(obj: ObjectNode) -> str:
-    """Canonical identity string for an object node.
+    """Printable, sortable form of an object's identity.
 
-    Equal keys iff identical objects: name, sorted states, sorted
-    ingredients. motion_tag is deliberately excluded.
+    Equal keys iff equal objects: name, sorted states, sorted
+    ingredients; motion_tag is deliberately excluded. Lookups use the
+    ``ObjectNode`` itself; this string is for output, messages and a
+    stable sort order.
     """
     return _KEY_SEP.join(
         (
@@ -100,12 +102,8 @@ class FunctionalUnit:
             raise ValueError("functional unit needs at least one input and one output")
 
     def identity(self):
-        """Hashable identity: input key set, motion label, output key set."""
-        return (
-            frozenset(object_key(o) for o in self.inputs),
-            self.motion.label,
-            frozenset(object_key(o) for o in self.outputs),
-        )
+        """Hashable identity: input object set, motion label, output object set."""
+        return (frozenset(self.inputs), self.motion.label, frozenset(self.outputs))
 
 
 def unit_equals(a: FunctionalUnit, b: FunctionalUnit) -> bool:
@@ -122,7 +120,7 @@ class UniversalFOON:
 
     def __init__(self):
         self.units: list[FunctionalUnit] = []
-        self.producers: dict[str, list[FunctionalUnit]] = {}
+        self.producers: dict[ObjectNode, list[FunctionalUnit]] = {}
         self._identities = set()
         self._frozen = False
 
@@ -140,12 +138,15 @@ class UniversalFOON:
         self.units.append(unit)
         self._identities.add(ident)
         for out in unit.outputs:
-            self.producers.setdefault(object_key(out), []).append(unit)
+            self.producers.setdefault(out, []).append(unit)
         return True
 
     def producing(self, goal: ObjectNode) -> list[FunctionalUnit]:
-        """Units having ``goal`` among their outputs, in insertion order."""
-        return list(self.producers.get(object_key(goal), ()))
+        """Units having ``goal`` among their outputs, in insertion order.
+
+        The list is the index itself; callers must not mutate it.
+        """
+        return self.producers.get(goal, [])
 
     def freeze(self):
         self._frozen = True
@@ -155,34 +156,22 @@ class UniversalFOON:
         return len(self.units)
 
 
-def insert_unit(foon: UniversalFOON, unit: FunctionalUnit) -> bool:
-    return foon.insert(unit)
-
-
-def units_producing(foon: UniversalFOON, goal: ObjectNode) -> list[FunctionalUnit]:
-    return foon.producing(goal)
-
-
 class Kitchen:
     """The set of object nodes available in the environment.
 
-    Membership uses full object identity (name + states + ingredients).
+    Membership uses full object identity (name + states + ingredients);
+    of equal items, the first one given is kept.
     """
 
     def __init__(self, items=()):
-        self._items: dict[str, ObjectNode] = {}
-        for obj in items:
-            self._items.setdefault(object_key(obj), obj)
+        self._items: dict[ObjectNode, None] = dict.fromkeys(items)
 
     def __contains__(self, obj: ObjectNode) -> bool:
-        return object_key(obj) in self._items
-
-    def contains_key(self, key: str) -> bool:
-        return key in self._items
+        return obj in self._items
 
     @property
     def items(self) -> list[ObjectNode]:
-        return list(self._items.values())
+        return list(self._items)
 
     def __len__(self):
         return len(self._items)
@@ -210,8 +199,9 @@ class SearchStats:
 
     ``expansions`` counts candidate-unit considerations. For IDS it equals
     the sum of ``per_depth_expansions``. ``object_visits`` counts, per
-    object key, how many times the search expanded that object's candidate
-    list (once per IDS iteration that reaches it).
+    object (keyed by its ``object_key``), how many times the search
+    expanded that object's candidate list (once per IDS iteration that
+    reaches it).
     """
 
     expansions: int = 0

@@ -17,7 +17,6 @@ from .model import (
     MotionNode,
     ObjectNode,
     UniversalFOON,
-    object_key,
 )
 from .retrieval import TaskTree
 
@@ -33,15 +32,15 @@ class BudgetExceeded(Exception):
 
 
 def _derivable_keys(units, kitchen):
-    """Fixpoint closure: every object key derivable from the kitchen."""
-    available = {object_key(item) for item in kitchen.items}
+    """Fixpoint closure: every object derivable from the kitchen."""
+    available = set(kitchen.items)
     remaining = list(units)
     changed = True
     while changed and remaining:
         changed = False
         for unit in list(remaining):
-            if all(object_key(inp) in available for inp in unit.inputs):
-                available.update(object_key(obj) for obj in unit.outputs)
+            if all(inp in available for inp in unit.inputs):
+                available.update(unit.outputs)
                 remaining.remove(unit)
                 changed = True
     return available
@@ -54,20 +53,20 @@ def _execution_order(subset, kitchen):
     If this greedy emission gets stuck, no order exists (executing extra
     units never removes availability).
     """
-    available = {object_key(item) for item in kitchen.items}
+    available = set(kitchen.items)
     remaining = list(subset)
     order = []
     while remaining:
         ready = None
         for unit in remaining:
-            if all(object_key(inp) in available for inp in unit.inputs):
+            if all(inp in available for inp in unit.inputs):
                 ready = unit
                 break
         if ready is None:
             return None
         remaining.remove(ready)
         order.append(ready)
-        available.update(object_key(obj) for obj in ready.outputs)
+        available.update(ready.outputs)
     return order
 
 
@@ -84,12 +83,11 @@ def oracle_search(
     sequence, so the result is the minimum-count tree with deterministic
     tie-breaking. Raises BudgetExceeded past ``budget`` enumeration steps.
     """
-    goal_key = object_key(goal)
-    if kitchen.contains_key(goal_key):
+    if goal in kitchen:
         return TaskTree([], goal)
     # If the goal is not derivable with every unit available, no subset
     # can derive it either; skip the exponential enumeration.
-    if goal_key not in _derivable_keys(foon.units, kitchen):
+    if goal not in _derivable_keys(foon.units, kitchen):
         return None
 
     units = sorted(foon.units, key=lambda unit: unit.source_index)
@@ -100,7 +98,7 @@ def oracle_search(
             steps += 1
             if steps > budget:
                 raise BudgetExceeded(f"oracle exceeded {budget} enumeration steps")
-            if not any(goal_key in (object_key(o) for o in unit.outputs) for unit in subset):
+            if not any(goal in unit.outputs for unit in subset):
                 continue
             order = _execution_order(subset, kitchen)
             if order is not None:
@@ -143,22 +141,21 @@ def generate_instance(cfg: GeneratorConfig):
     foon = UniversalFOON()
     pool = list(base)
     produced: list[ObjectNode] = []
-    producer_count: dict[str, int] = {}
+    producer_count: dict[ObjectNode, int] = {}
     next_id = 0
 
     def add_unit(output):
         nonlocal next_id
-        choices = [obj for obj in pool if object_key(obj) != object_key(output)]
+        choices = [obj for obj in pool if obj != output]
         k_in = rng.randint(1, min(cfg.max_inputs_per_unit, len(choices)))
         inputs = rng.sample(choices, k_in)
         unit = FunctionalUnit(inputs, MotionNode(rng.choice(_MOTION_LABELS)), [output])
         if not foon.insert(unit):
             return False
-        key = object_key(output)
-        if producer_count.get(key, 0) == 0:
+        if producer_count.get(output, 0) == 0:
             produced.append(output)
             pool.append(output)
-        producer_count[key] = producer_count.get(key, 0) + 1
+        producer_count[output] = producer_count.get(output, 0) + 1
         return True
 
     target = n_units - 1 if want_branching else n_units
@@ -166,7 +163,7 @@ def generate_instance(cfg: GeneratorConfig):
     while len(foon.units) < target and attempts < 50 * n_units:
         attempts += 1
         reusable = [obj for obj in produced
-                    if producer_count[object_key(obj)] < cfg.max_branching]
+                    if producer_count[obj] < cfg.max_branching]
         if reusable and rng.random() < 0.35:
             output = rng.choice(reusable)
         else:
@@ -177,7 +174,7 @@ def generate_instance(cfg: GeneratorConfig):
     if want_branching and not any(count > 1 for count in producer_count.values()):
         # Force at least one object with multiple producers.
         candidates = [obj for obj in produced
-                      if producer_count[object_key(obj)] < cfg.max_branching]
+                      if producer_count[obj] < cfg.max_branching]
         forced = False
         for _ in range(50):
             output = rng.choice(candidates) if candidates else rng.choice(produced)

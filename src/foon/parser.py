@@ -14,6 +14,7 @@ identical documents emit identical bytes.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .model import FunctionalUnit, Kitchen, MotionNode, MotionRateTable, ObjectNode
@@ -180,15 +181,35 @@ def parse_subgraph(text: str, source_path: str = "") -> SubgraphDocument:
     return SubgraphDocument(units=units, source_path=source_path)
 
 
+# A tab or any line boundary of str.splitlines() inside a token would split
+# its field or its line, so the token would not parse back as written.
+_UNWRITABLE = re.compile("[\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
+def _check_tokens(kind, owner, tokens):
+    # One search over all tokens keeps the usual, clean case cheap: the
+    # whole merged FOON is serialized on every `foon merge`.
+    if _UNWRITABLE.search("".join(tokens)):
+        token = next(token for token in tokens if _UNWRITABLE.search(token))
+        raise ValueError(
+            f"cannot serialize {kind} {owner!r}: {token!r} contains a tab or line break")
+
+
 def _serialize_object(obj: ObjectNode, lines):
+    _check_tokens("object", obj.name, (obj.name, obj.motion_tag, *obj.states, *obj.ingredients))
+    for ingredient in obj.ingredients:
+        if not ingredient or "," in ingredient:
+            raise ValueError(f"cannot serialize object {obj.name!r}: "
+                             f"ingredient {ingredient!r} is empty or contains ','")
+    if obj.ingredients and not obj.states:
+        # Ingredients ride on an S line, and every S line adds a state.
+        raise ValueError(f"cannot serialize object {obj.name!r}: ingredients without a state")
     if obj.motion_tag:
         lines.append(f"O\t{obj.name}\t{obj.motion_tag}")
     else:
         lines.append(f"O\t{obj.name}")
     states = sorted(obj.states)
     ingredients = sorted(obj.ingredients)
-    if not states and ingredients:
-        states = [""]
     for position, state in enumerate(states):
         line = "S" if state == "" else f"S\t{state}"
         if position == 0 and ingredients:
@@ -199,18 +220,26 @@ def _serialize_object(obj: ObjectNode, lines):
 
 
 def serialize_subgraph(doc: SubgraphDocument) -> str:
-    """Canonical text for a document; parsing it back reproduces the units."""
+    """Canonical text for a document; parsing it back reproduces the units.
+
+    Raises ValueError for what the format cannot carry: a tab or line
+    break in any token, an ingredient that is empty or contains ',', or
+    ingredients on an object without states.
+    """
     if not doc.units:
         return ""
     lines = []
     for unit in doc.units:
         for obj in unit.inputs:
             _serialize_object(obj, lines)
-        motion_line = f"M\t{unit.motion.label}"
-        if unit.motion.start_time is not None:
-            motion_line += f"\t{unit.motion.start_time}"
-            if unit.motion.end_time is not None:
-                motion_line += f"\t{unit.motion.end_time}"
+        motion = unit.motion
+        _check_tokens("motion", motion.label,
+                      (motion.label, motion.start_time or "", motion.end_time or ""))
+        motion_line = f"M\t{motion.label}"
+        if motion.start_time is not None:
+            motion_line += f"\t{motion.start_time}"
+            if motion.end_time is not None:
+                motion_line += f"\t{motion.end_time}"
         lines.append(motion_line)
         for obj in unit.outputs:
             _serialize_object(obj, lines)

@@ -80,33 +80,18 @@ def validate_task_tree(tree: TaskTree, kitchen: Kitchen, goal: ObjectNode) -> Va
 
     Reports the first violating (position, object) on failure.
     """
-    available = {object_key(item) for item in kitchen.items}
+    produced = set()
     for position, unit in enumerate(tree.units):
         for obj in unit.inputs:
-            if object_key(obj) not in available:
+            if obj not in produced and obj not in kitchen:
                 return ValidationReport(
                     False, position, obj,
                     f"input {object_key(obj)!r} of unit {position} is not available",
                 )
-        available.update(object_key(obj) for obj in unit.outputs)
-    produced = set()
-    for unit in tree.units:
-        produced.update(object_key(obj) for obj in unit.outputs)
-    goal_key = object_key(goal)
-    if goal_key not in produced and not kitchen.contains_key(goal_key):
+        produced.update(unit.outputs)
+    if goal not in produced and goal not in kitchen:
         return ValidationReport(False, None, goal, "goal is neither produced nor in the kitchen")
     return ValidationReport(True)
-
-
-def _dedup_units(units) -> list:
-    seen = set()
-    result = []
-    for unit in units:
-        ident = unit.identity()
-        if ident not in seen:
-            seen.add(ident)
-            result.append(unit)
-    return result
 
 
 def search_ids(
@@ -122,35 +107,34 @@ def search_ids(
     unit is tried in insertion order, solving every input with budget
     d - 1 (first success wins). Units are emitted post-order (dependencies
     first) and deduplicated. A DFS path carries the set of in-progress
-    object keys so cyclic knowledge cannot loop the search.
+    objects so cyclic knowledge cannot loop the search.
     """
     stats = SearchStats()
-    goal_key = object_key(goal)
-    if not kitchen.contains_key(goal_key) and not foon.producing(goal):
+    if goal not in kitchen and not foon.producing(goal):
         return SearchOutcome(failure=SearchFailure(
             FailureReason.GOAL_UNREACHABLE, [goal], stats))
 
-    dead_ends: dict[str, ObjectNode] = {}
+    visits: dict[ObjectNode, int] = {}
+    dead_ends: dict[ObjectNode, ObjectNode] = {}
     depth_limit_hit = False
 
     def solve(obj, budget, path, level):
         nonlocal depth_limit_hit
-        key = object_key(obj)
-        if kitchen.contains_key(key):
+        if obj in kitchen:
             return []
-        stats.object_visits[key] = stats.object_visits.get(key, 0) + 1
+        visits[obj] = visits.get(obj, 0) + 1
         stats.max_stack_depth = max(stats.max_stack_depth, level)
         if budget == 0:
             depth_limit_hit = True
             return None
         candidates = foon.producing(obj)
         if not candidates:
-            dead_ends[key] = obj
+            dead_ends[obj] = obj
             return None
-        inner_path = path | {key}
+        inner_path = path | {obj}
         for unit in candidates:
             stats.per_depth_expansions[-1] += 1
-            if any(object_key(inp) in inner_path for inp in unit.inputs):
+            if any(inp in inner_path for inp in unit.inputs):
                 continue
             collected = []
             solved_all = True
@@ -165,6 +149,8 @@ def search_ids(
                 return collected
         return None
 
+    result = None
+    reason = FailureReason.DEPTH_EXHAUSTED
     for depth in range(max_depth + 1):
         stats.per_depth_expansions.append(0)
         stats.depth_limit_reached = depth
@@ -172,21 +158,20 @@ def search_ids(
         depth_limit_hit = False
         result = solve(goal, depth, frozenset(), 0)
         if result is not None:
-            stats.expansions = sum(stats.per_depth_expansions)
-            return SearchOutcome(tree=TaskTree(_dedup_units(result), goal, stats))
+            break
         if not depth_limit_hit:
             # The failure did not touch the depth bound, so no deeper
             # iteration can succeed: the goal is structurally unreachable.
-            stats.expansions = sum(stats.per_depth_expansions)
-            return SearchOutcome(failure=SearchFailure(
-                FailureReason.GOAL_UNREACHABLE,
-                sorted(dead_ends.values(), key=object_key) or [goal],
-                stats))
+            reason = FailureReason.GOAL_UNREACHABLE
+            break
     stats.expansions = sum(stats.per_depth_expansions)
+    stats.object_visits = {object_key(obj): count for obj, count in visits.items()}
+    if result is not None:
+        # A unit shared by several subtrees is collected once per subtree.
+        unique = {id(unit): unit for unit in result}
+        return SearchOutcome(tree=TaskTree(list(unique.values()), goal, stats))
     return SearchOutcome(failure=SearchFailure(
-        FailureReason.DEPTH_EXHAUSTED,
-        sorted(dead_ends.values(), key=object_key) or [goal],
-        stats))
+        reason, sorted(dead_ends.values(), key=object_key) or [goal], stats))
 
 
 def _dependency_sort(selected, kitchen):
@@ -197,72 +182,63 @@ def _dependency_sort(selected, kitchen):
     (ordered units, blocked objects); blocked is non-empty when the
     selection cannot be made executable.
     """
-    available = {object_key(item) for item in kitchen.items}
+    available = set(kitchen.items)
     remaining = list(selected)
     ordered = []
     while remaining:
         ready = None
         for unit in remaining:
-            if all(object_key(inp) in available for inp in unit.inputs):
+            if all(inp in available for inp in unit.inputs):
                 ready = unit
                 break
         if ready is None:
-            blocked = {}
-            for unit in remaining:
-                for inp in unit.inputs:
-                    key = object_key(inp)
-                    if key not in available:
-                        blocked.setdefault(key, inp)
-            return ordered, sorted(blocked.values(), key=object_key)
+            blocked = {inp for unit in remaining for inp in unit.inputs if inp not in available}
+            return ordered, sorted(blocked, key=object_key)
         remaining.remove(ready)
         ordered.append(ready)
-        available.update(object_key(obj) for obj in ready.outputs)
+        available.update(ready.outputs)
     return ordered, []
 
 
 def _search_greedy(foon, goal, kitchen, selection_key) -> SearchOutcome:
     stats = SearchStats()
-    goal_key = object_key(goal)
-    if kitchen.contains_key(goal_key):
+    if goal in kitchen:
         stats.per_depth_expansions = [0]
         return SearchOutcome(tree=TaskTree([], goal, stats))
 
     queue = deque([goal])
-    visited = {goal_key}
-    selected = []
-    selected_identities = set()
-    blocked: dict[str, ObjectNode] = {}
+    visited = {goal}
+    # Chosen units, once each, in discovery order. One unit can be chosen
+    # for several of its outputs; a FOON holds each unit as one object.
+    selected: dict[int, FunctionalUnit] = {}
+    visits: dict[ObjectNode, int] = {}
+    blocked = set()
     while queue:
         node = queue.popleft()
-        node_key = object_key(node)
-        if kitchen.contains_key(node_key):
+        if node in kitchen:
             continue
         candidates = foon.producing(node)
         stats.expansions += len(candidates)
-        stats.object_visits[node_key] = stats.object_visits.get(node_key, 0) + 1
+        visits[node] = visits.get(node, 0) + 1
         if not candidates:
-            blocked.setdefault(node_key, node)
+            blocked.add(node)
             continue
         best = min(candidates, key=lambda unit: (selection_key(unit), unit.source_index))
-        if best.identity() not in selected_identities:
-            selected_identities.add(best.identity())
-            selected.append(best)
+        selected.setdefault(id(best), best)
         for inp in best.inputs:
-            key = object_key(inp)
-            if key not in visited:
-                visited.add(key)
+            if inp not in visited:
+                visited.add(inp)
                 queue.append(inp)
 
     stats.per_depth_expansions = [stats.expansions]
+    stats.object_visits = {object_key(obj): count for obj, count in visits.items()}
     if blocked:
-        reason = (FailureReason.GOAL_UNREACHABLE if goal_key in blocked
+        reason = (FailureReason.GOAL_UNREACHABLE if goal in blocked
                   else FailureReason.UNSATISFIED_LEAVES)
         return SearchOutcome(failure=SearchFailure(
-            reason, sorted(blocked.values(), key=object_key), stats))
+            reason, sorted(blocked, key=object_key), stats))
 
-    selected.reverse()
-    # Discovery order is the tie-break for the dependency sort, so restore it.
-    ordered, sort_blocked = _dependency_sort(list(reversed(selected)), kitchen)
+    ordered, sort_blocked = _dependency_sort(selected.values(), kitchen)
     if sort_blocked:
         return SearchOutcome(failure=SearchFailure(
             FailureReason.UNSATISFIED_LEAVES, sort_blocked, stats))

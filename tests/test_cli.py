@@ -210,3 +210,33 @@ def test_commands_are_deterministic(tmp_path, capsys, command):
         text = out.read_text()
         outputs.append(strip_timing(text) if command == "bench" else text)
     assert outputs[0] == outputs[1]
+
+
+def _argv(command, foon, out):
+    """A run of ``command`` that succeeds on the ice fixture's FOON."""
+    if command == "merge":
+        return ["merge", foon, "--out", out]
+    if command == "search":
+        return ["search", "--foon", foon, "--goal", "ice;solid",
+                "--kitchen", ICE / "kitchen.txt", "--out", out]
+    if command == "bench":
+        return ["bench", "--foon", foon, "--kitchen", ICE / "kitchen.txt",
+                "--goals", ICE / "goals.txt", "--out", out]
+    return ["dot", "--foon", foon, "--out", out]
+
+
+@pytest.mark.parametrize("command", ["merge", "search", "bench", "dot"])
+def test_undecodable_input_exits_1(tmp_path, capsys, command):
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("O\tcrème\nS\tfresh\n".encode("latin-1"))
+    code, _, stderr = run(capsys, *_argv(command, latin1, tmp_path / "out.txt"))
+    assert code == 1
+    assert stderr.startswith(f"error: {latin1}: ")
+
+
+@pytest.mark.parametrize("command", ["merge", "search", "bench", "dot"])
+def test_unwritable_out_exits_1(tmp_path, capsys, command):
+    out = tmp_path / "missing" / "out.txt"
+    code, _, stderr = run(capsys, *_argv(command, ICE / "foon.txt", out))
+    assert code == 1
+    assert stderr.startswith(f"error: {out}: ")

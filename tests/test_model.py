@@ -4,11 +4,19 @@ from hypothesis import strategies as st
 
 from foon import (
     FunctionalUnit,
+    Kitchen,
     MotionNode,
     ObjectNode,
     UniversalFOON,
+    merge,
     object_key,
+    parse_goal,
+    parse_subgraph,
+    search_gbfs_inputs,
+    search_gbfs_rate,
+    search_ids,
     unit_equals,
+    validate_task_tree,
 )
 
 from conftest import build_foon, obj, unit
@@ -144,7 +152,7 @@ def _rebuild_producers(foon):
     rebuilt = {}
     for u in foon.units:
         for out in u.outputs:
-            rebuilt.setdefault(object_key(out), []).append(u.source_index)
+            rebuilt.setdefault(out, []).append(u.source_index)
     return rebuilt
 
 
@@ -166,3 +174,45 @@ def test_producers_index_matches_rebuild(seed):
 def test_units_producing_empty_for_unknown_goal():
     foon = build_foon(unit([obj("a", "x")], "mix", [obj("b", "y")]))
     assert foon.producing(obj("zebra")) == []
+
+
+def test_kitchen_keeps_first_instance_and_ignores_motion_tag():
+    kitchen = Kitchen([obj("cup", "empty", tag="1"), obj("cup", "empty", tag="0"), obj("pan")])
+    assert len(kitchen) == 2
+    assert [item.motion_tag for item in kitchen.items] == ["1", ""]
+    assert obj("cup", "empty", tag="9") in kitchen
+    assert obj("cup", "full", tag="1") not in kitchen
+
+
+def test_lookups_use_the_object_not_its_key(monkeypatch, corpus_paths):
+    """Merge, kitchen membership, search and validation look objects up by
+    ``ObjectNode`` equality; only the searches' visit counts are keyed by
+    ``object_key``, built once per distinct object when a search ends."""
+
+    def refuse(o):
+        raise AssertionError(f"object_key built for a lookup of {o!r}")
+
+    monkeypatch.setattr("foon.model.object_key", refuse)
+    monkeypatch.setattr("foon.retrieval.object_key", refuse)
+    foon = merge([parse_subgraph(p.read_text(encoding="utf-8")) for p in corpus_paths])
+    produced = {o for u in foon.units for o in u.outputs}
+    kitchen = Kitchen(o for u in foon.units for o in u.inputs if o not in produced)
+    goal = parse_goal("cup;steeping;tea bag,water")
+    assert obj("tea bag", "dry") in kitchen
+    assert goal not in kitchen
+
+    keyed = []
+
+    def count(o):
+        keyed.append(o)
+        return object_key(o)
+
+    monkeypatch.setattr("foon.retrieval.object_key", count)
+    outcomes = [search_gbfs_rate(foon, goal, kitchen), search_gbfs_inputs(foon, goal, kitchen),
+                search_ids(foon, goal, kitchen)]
+    assert all(outcome.ok for outcome in outcomes)
+    assert len(keyed) == sum(len(o.tree.stats.object_visits) for o in outcomes)
+
+    monkeypatch.setattr("foon.retrieval.object_key", refuse)
+    for outcome in outcomes:
+        assert validate_task_tree(outcome.tree, kitchen, goal)

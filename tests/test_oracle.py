@@ -83,7 +83,7 @@ def test_oracle_full_power_set_spot_check():
                 if order is None:
                     continue
                 produced = {object_key(o) for u in order for o in u.outputs}
-                if object_key(goal) in produced or kitchen.contains_key(object_key(goal)):
+                if object_key(goal) in produced or goal in kitchen:
                     best = len(subset) if best is None else min(best, len(subset))
             if best is not None:
                 break

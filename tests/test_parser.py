@@ -1,6 +1,18 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from foon import parse_goal, parse_kitchen, parse_rates, parse_subgraph, serialize_subgraph
+from foon import (
+    FunctionalUnit,
+    MotionNode,
+    ObjectNode,
+    SubgraphDocument,
+    parse_goal,
+    parse_kitchen,
+    parse_rates,
+    parse_subgraph,
+    serialize_subgraph,
+)
 from foon.parser import (
     DanglingUnit,
     EmptyGoalName,
@@ -175,3 +187,64 @@ def test_parse_goal_variants():
 def test_parse_goal_empty_name():
     with pytest.raises(EmptyGoalName):
         parse_goal(";mixed")
+
+
+def _api_unit(name="bowl", states=("full",), ingredients=(), tag="", label="mix"):
+    made = ObjectNode(name, frozenset(states), frozenset(ingredients), motion_tag=tag)
+    return FunctionalUnit([made], MotionNode(label), [ObjectNode("salad", frozenset({"mixed"}))])
+
+
+@pytest.mark.parametrize("kwargs, token", [
+    ({"name": "x\ty"}, "'x\\ty'"),
+    ({"states": ["a\nb"]}, "'a\\nb'"),
+    ({"ingredients": ["a\u2028b"]}, "'a\\u2028b'"),
+    ({"tag": "1\r0"}, "'1\\r0'"),
+    ({"label": "stir\x1cwell"}, "'stir\\x1cwell'"),
+    ({"ingredients": ["salt,pepper"]}, "'salt,pepper'"),
+    ({"ingredients": [" "]}, "''"),
+    ({"states": [], "ingredients": ["salt"]}, "without a state"),
+])
+def test_serialize_refuses_what_the_format_cannot_carry(kwargs, token):
+    with pytest.raises(ValueError, match="cannot serialize") as caught:
+        serialize_subgraph(SubgraphDocument(units=[_api_unit(**kwargs)]))
+    assert token in str(caught.value)
+
+
+# Tab and every character str.splitlines() breaks a line at.
+_BREAKS = ["\t"] + [chr(c) for c in range(0x3000) if len(f"a{chr(c)}b".splitlines()) > 1]
+
+
+@pytest.mark.parametrize("brk", _BREAKS, ids=lambda brk: f"U+{ord(brk):04X}")
+def test_serialize_refuses_every_tab_and_line_break(brk):
+    with pytest.raises(ValueError, match="tab or line break"):
+        serialize_subgraph(SubgraphDocument(units=[_api_unit(name=f"x{brk}y")]))
+
+
+_plain = st.text(st.sampled_from("aB ,{}#/"), min_size=1, max_size=3)
+# About one token in 50 gets a tab or line break inside, so that most
+# documents are writable and the round trip is exercised.
+_broken = st.builds("".join, st.tuples(_plain, st.sampled_from(_BREAKS), _plain))
+_texts = st.integers(0, 49).flatmap(lambda n: _broken if n == 7 else _plain)
+_names = _texts.filter(str.strip)
+_objects = st.builds(
+    ObjectNode, name=_names, states=st.frozensets(_texts, max_size=2),
+    ingredients=st.frozensets(_texts, max_size=1), motion_tag=_texts)
+_units = st.builds(
+    FunctionalUnit,
+    inputs=st.lists(_objects, min_size=1, max_size=2),
+    motion=st.builds(MotionNode, label=_names, start_time=st.none() | _texts,
+                     end_time=st.none() | _texts),
+    outputs=st.lists(_objects, min_size=1, max_size=2),
+)
+
+
+@settings(max_examples=300)
+@given(units=st.lists(_units, min_size=1, max_size=2))
+def test_serialize_refuses_or_round_trips_api_units(units):
+    try:
+        text = serialize_subgraph(SubgraphDocument(units=units))
+    except ValueError:
+        return
+    parsed = parse_subgraph(text).units
+    assert [(u.identity(), u.motion.label) for u in parsed] == [
+        (u.identity(), u.motion.label) for u in units]
