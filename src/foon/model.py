@@ -19,18 +19,21 @@ def _norm(token: str) -> str:
     return token.strip().lower()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObjectNode:
     """An object identified by name, state set and contained ingredients.
 
     ``motion_tag`` is the per-object flag column from the source files;
     it is carried for round-trip fidelity but excluded from identity.
+    The hash of the identity is computed once, at construction; the class
+    has ``__slots__``, so instances have no ``__dict__``.
     """
 
     name: str
     states: frozenset = frozenset()
     ingredients: frozenset = frozenset()
     motion_tag: str = field(default="", compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "name", _norm(self.name))
@@ -40,6 +43,15 @@ class ObjectNode:
         )
         if not self.name:
             raise ValueError("object name must be non-empty")
+        object.__setattr__(self, "_hash", hash((self.name, self.states, self.ingredients)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through the constructor: string hashes differ between
+        # processes, so the cached hash must not travel in a pickle.
+        return ObjectNode, (self.name, self.states, self.ingredients, self.motion_tag)
 
 
 @dataclass(frozen=True)

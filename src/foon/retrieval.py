@@ -10,6 +10,7 @@ they can fail on instances IDS solves.
 from __future__ import annotations
 
 import enum
+import heapq
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -106,98 +107,143 @@ def search_ids(
     an object is solved if it is in the kitchen, otherwise each producing
     unit is tried in insertion order, solving every input with budget
     d - 1 (first success wins). Units are emitted post-order (dependencies
-    first) and deduplicated. A DFS path carries the set of in-progress
-    objects so cyclic knowledge cannot loop the search.
+    first) and deduplicated. The set of in-progress objects on the DFS
+    path is one mutable set per iteration, so cyclic knowledge cannot
+    loop the search. The DFS runs on an explicit stack of frames, not on
+    the Python stack, so any ``max_depth`` is safe.
     """
     stats = SearchStats()
     if goal not in kitchen and not foon.producing(goal):
         return SearchOutcome(failure=SearchFailure(
             FailureReason.GOAL_UNREACHABLE, [goal], stats))
 
+    producing = foon.producing
     visits: dict[ObjectNode, int] = {}
     dead_ends: dict[ObjectNode, ObjectNode] = {}
-    depth_limit_hit = False
-
-    def solve(obj, budget, path, level):
-        nonlocal depth_limit_hit
-        if obj in kitchen:
-            return []
-        visits[obj] = visits.get(obj, 0) + 1
-        stats.max_stack_depth = max(stats.max_stack_depth, level)
-        if budget == 0:
-            depth_limit_hit = True
-            return None
-        candidates = foon.producing(obj)
-        if not candidates:
-            dead_ends[obj] = obj
-            return None
-        inner_path = path | {obj}
-        for unit in candidates:
-            stats.per_depth_expansions[-1] += 1
-            if any(inp in inner_path for inp in unit.inputs):
-                continue
-            collected = []
-            solved_all = True
-            for inp in unit.inputs:
-                sub = solve(inp, budget - 1, inner_path, level + 1)
-                if sub is None:
-                    solved_all = False
-                    break
-                collected.extend(sub)
-            if solved_all:
-                collected.append(unit)
-                return collected
-        return None
-
-    result = None
+    deepest = 0
+    solved = False
     reason = FailureReason.DEPTH_EXHAUSTED
     for depth in range(max_depth + 1):
-        stats.per_depth_expansions.append(0)
         stats.depth_limit_reached = depth
         dead_ends.clear()
         depth_limit_hit = False
-        result = solve(goal, depth, frozenset(), 0)
-        if result is not None:
+        expansions = 0
+        path = set()
+        # ``emitted`` holds the post-order units of every solved subtree;
+        # a frame's subtree is the slice from its ``mark``. A frame is
+        # [object, candidates, candidate index, next input index, mark].
+        emitted = []
+        stack = []
+        obj = goal
+        while True:
+            if obj is not None:
+                # Open ``obj`` at level len(stack), with budget depth - level.
+                if obj in kitchen:
+                    ok = True
+                else:
+                    ok = False
+                    level = len(stack)
+                    visits[obj] = visits.get(obj, 0) + 1
+                    if level > deepest:
+                        deepest = level
+                    if level == depth:
+                        depth_limit_hit = True
+                    else:
+                        candidates = producing(obj)
+                        if candidates:
+                            path.add(obj)
+                            stack.append([obj, candidates, -1, 0, len(emitted)])
+                        else:
+                            dead_ends[obj] = obj
+                obj = None
+            if not stack:
+                solved = ok
+                break
+            frame = stack[-1]
+            if not ok:
+                # The current unit failed (or none was tried yet): try the
+                # next candidate whose inputs avoid the path.
+                candidates = frame[1]
+                index = frame[2] + 1
+                while index < len(candidates):
+                    expansions += 1
+                    if path.isdisjoint(candidates[index].inputs):
+                        break
+                    index += 1
+                if index == len(candidates):
+                    stack.pop()
+                    path.discard(frame[0])
+                    continue
+                frame[2] = index
+                frame[3] = 0
+                del emitted[frame[4]:]
+            unit = frame[1][frame[2]]
+            if frame[3] < len(unit.inputs):
+                obj = unit.inputs[frame[3]]
+                frame[3] += 1
+                continue
+            emitted.append(unit)
+            stack.pop()
+            path.discard(frame[0])
+            ok = True
+        stats.per_depth_expansions.append(expansions)
+        if solved:
             break
         if not depth_limit_hit:
             # The failure did not touch the depth bound, so no deeper
             # iteration can succeed: the goal is structurally unreachable.
             reason = FailureReason.GOAL_UNREACHABLE
             break
+    stats.max_stack_depth = deepest
     stats.expansions = sum(stats.per_depth_expansions)
     stats.object_visits = {object_key(obj): count for obj, count in visits.items()}
-    if result is not None:
-        # A unit shared by several subtrees is collected once per subtree.
-        unique = {id(unit): unit for unit in result}
+    if solved:
+        # A unit shared by several subtrees is emitted once per subtree.
+        unique = {id(unit): unit for unit in emitted}
         return SearchOutcome(tree=TaskTree(list(unique.values()), goal, stats))
     return SearchOutcome(failure=SearchFailure(
         reason, sorted(dead_ends.values(), key=object_key) or [goal], stats))
 
 
 def _dependency_sort(selected, kitchen):
-    """Stable executable ordering of the greedy selection.
+    """Stable executable ordering of the greedy selection, in linear time.
 
-    Repeatedly emits the earliest-discovered unit whose inputs are all
-    available (kitchen plus outputs of already-emitted units). Returns
-    (ordered units, blocked objects); blocked is non-empty when the
-    selection cannot be made executable.
+    Emits, at each step, the earliest-discovered unit whose inputs are all
+    available (kitchen plus outputs of already-emitted units). This is
+    Kahn's topological sort: each unit counts its input occurrences not
+    in the kitchen, each such object lists the units waiting on it, and
+    a min-heap holds the positions of ready units. Readiness is monotone,
+    so popping the lowest ready position gives the earliest ready unit.
+    Returns (ordered units, blocked objects); blocked, the inputs of the
+    units that never became ready that are neither produced nor in the
+    kitchen, is non-empty when the selection cannot be made executable.
     """
-    available = set(kitchen.items)
-    remaining = list(selected)
+    units = list(selected)
+    missing = [0] * len(units)
+    waiting: dict[ObjectNode, list[int]] = {}
+    for position, unit in enumerate(units):
+        for inp in unit.inputs:
+            if inp not in kitchen:
+                missing[position] += 1
+                waiting.setdefault(inp, []).append(position)
+    # Ascending, so already a heap.
+    ready = [position for position, count in enumerate(missing) if not count]
     ordered = []
-    while remaining:
-        ready = None
-        for unit in remaining:
-            if all(inp in available for inp in unit.inputs):
-                ready = unit
-                break
-        if ready is None:
-            blocked = {inp for unit in remaining for inp in unit.inputs if inp not in available}
-            return ordered, sorted(blocked, key=object_key)
-        remaining.remove(ready)
-        ordered.append(ready)
-        available.update(ready.outputs)
-    return ordered, []
+    while ready:
+        unit = units[heapq.heappop(ready)]
+        ordered.append(unit)
+        # Popping releases each object once, however often it is produced;
+        # what stays in ``waiting`` is never produced.
+        for out in unit.outputs:
+            for position in waiting.pop(out, ()):
+                missing[position] -= 1
+                if not missing[position]:
+                    heapq.heappush(ready, position)
+    if len(ordered) == len(units):
+        return ordered, []
+    blocked = {inp for unit, count in zip(units, missing) if count
+               for inp in unit.inputs if inp in waiting}
+    return ordered, sorted(blocked, key=object_key)
 
 
 def _search_greedy(foon, goal, kitchen, selection_key) -> SearchOutcome:

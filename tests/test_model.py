@@ -1,3 +1,8 @@
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -216,3 +221,17 @@ def test_lookups_use_the_object_not_its_key(monkeypatch, corpus_paths):
     monkeypatch.setattr("foon.retrieval.object_key", refuse)
     for outcome in outcomes:
         assert validate_task_tree(outcome.tree, kitchen, goal)
+
+
+def test_unpickled_object_hashes_for_the_loading_process():
+    # A process with another string-hash seed pickles the object; its
+    # cached hash would be wrong here.
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    code = ("import pickle, sys; from foon import ObjectNode; sys.stdout.buffer.write("
+            "pickle.dumps(ObjectNode('tomato', {'chopped'}, {'salt'}, motion_tag='1')))")
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(sys.path))
+    data = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          check=True).stdout
+    loaded = pickle.loads(data)
+    assert loaded in {obj("tomato", "chopped", ings=("salt",))}
+    assert loaded.motion_tag == "1"

@@ -1,0 +1,128 @@
+"""The search core: equal to the frozen reference, linear, and stack-safe.
+
+The differential tests compare every search with the copies in
+``reference_search.py`` field by field. The scaling tests count
+``ObjectNode.__hash__`` calls, which every set and dict lookup of an
+object makes, so they gate the complexity class without timing anything.
+"""
+import sys
+
+import pytest
+
+from foon import (
+    GeneratorConfig,
+    Kitchen,
+    MotionRateTable,
+    ObjectNode,
+    generate_instance,
+    search_gbfs_inputs,
+    search_gbfs_rate,
+    search_ids,
+)
+
+import reference_search as reference
+from conftest import build_foon, obj, unit
+
+
+def _summary(outcome):
+    found = outcome.tree or outcome.failure
+    stats = found.stats
+    counts = (stats.expansions, stats.per_depth_expansions, stats.max_stack_depth,
+              stats.depth_limit_reached, stats.object_visits)
+    if outcome.ok:
+        return "tree", [id(u) for u in outcome.tree.units], outcome.tree.goal, counts
+    return "failure", outcome.failure.reason, outcome.failure.blocked_objects, counts
+
+
+def _rates(foon):
+    labels = sorted({u.motion.label for u in foon.units})
+    return MotionRateTable({label: (i % 4 + 1) / 4 for i, label in enumerate(labels)})
+
+
+def _assert_same_as_reference(foon, goal, kitchen, rates, max_depth):
+    assert _summary(search_ids(foon, goal, kitchen, max_depth)) == _summary(
+        reference.search_ids(foon, goal, kitchen, max_depth))
+    assert _summary(search_gbfs_rate(foon, goal, kitchen, rates)) == _summary(
+        reference._search_greedy(foon, goal, kitchen,
+                                 lambda u: -rates.rate(u.motion.label)))
+    assert _summary(search_gbfs_inputs(foon, goal, kitchen)) == _summary(
+        reference._search_greedy(foon, goal, kitchen, lambda u: len(u.inputs)))
+
+
+@pytest.mark.parametrize("max_units, kitchen_fraction", [
+    (10, 0.8), (40, 0.8), (40, 0.5), (200, 0.8), (200, 0.6),
+])
+def test_searches_match_reference_on_generator_seeds(max_units, kitchen_fraction):
+    outcomes = set()
+    for seed in range(60):
+        cfg = GeneratorConfig(max_units=max_units, max_branching=4, max_inputs_per_unit=3,
+                              kitchen_fraction=kitchen_fraction, seed=seed)
+        foon, goal, kitchen = generate_instance(cfg)
+        rates = _rates(foon)
+        _assert_same_as_reference(foon, goal, kitchen, rates, max_depth=max_units)
+        outcomes.add(search_gbfs_rate(foon, goal, kitchen, rates).ok)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("withheld_every", [0, 3])
+def test_searches_match_reference_on_fixture_corpus(corpus_foon, withheld_every):
+    produced = {o for u in corpus_foon.units for o in u.outputs}
+    leaves = list(dict.fromkeys(o for u in corpus_foon.units for o in u.inputs
+                                if o not in produced))
+    if withheld_every:
+        del leaves[::withheld_every]
+    kitchen = Kitchen(leaves)
+    rates = _rates(corpus_foon)
+    for goal in dict.fromkeys(o for u in corpus_foon.units for o in u.outputs):
+        _assert_same_as_reference(corpus_foon, goal, kitchen, rates, max_depth=50)
+
+
+def _chain(length):
+    links = [obj("link0", "raw")] + [obj(f"link{i}", "made") for i in range(1, length + 1)]
+    units = [unit([links[i]], "stir", [links[i + 1]]) for i in range(length)]
+    return build_foon(*units), links[-1], Kitchen([links[0]]), units
+
+
+def test_ids_solves_chain_deeper_than_recursion_limit():
+    length = sys.getrecursionlimit() + 50
+    foon, goal, kitchen, units = _chain(length)
+    outcome = search_ids(foon, goal, kitchen, max_depth=length)
+    assert outcome.ok
+    assert outcome.tree.units == units
+    assert outcome.tree.stats.depth_limit_reached == length
+
+
+def _fan(width):
+    raws = [obj(f"part{i}", "whole") for i in range(width)]
+    parts = [obj(f"part{i}", "chopped") for i in range(width)]
+    goal = obj("platter", "assembled")
+    units = [unit([r], "chop", [p]) for r, p in zip(raws, parts)]
+    return build_foon(*units, unit(parts, "assemble", [goal])), goal, Kitchen(raws)
+
+
+def _hash_calls(monkeypatch, search, foon, goal, kitchen):
+    calls = 0
+    original = ObjectNode.__hash__
+
+    def counting(self):
+        nonlocal calls
+        calls += 1
+        return original(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ObjectNode, "__hash__", counting)
+        outcome = search(foon, goal, kitchen)
+    assert outcome.ok
+    return calls
+
+
+def test_gbfs_inputs_hash_calls_linear_in_fan_width(monkeypatch):
+    narrow = _hash_calls(monkeypatch, search_gbfs_inputs, *_fan(150))
+    wide = _hash_calls(monkeypatch, search_gbfs_inputs, *_fan(300))
+    assert wide <= 2.5 * narrow, (narrow, wide)
+
+
+def test_gbfs_rate_hash_calls_linear_in_chain_length(monkeypatch):
+    short = _hash_calls(monkeypatch, search_gbfs_rate, *_chain(100)[:3])
+    long = _hash_calls(monkeypatch, search_gbfs_rate, *_chain(200)[:3])
+    assert long <= 2.5 * short, (short, long)
