@@ -88,10 +88,7 @@ def _run_algo(algo, foon, goal, kitchen, rates, max_depth):
 
 
 def cmd_merge(args) -> int:
-    docs = [
-        _parse_file(path, lambda text, p=path: parse_subgraph(text, source_path=p))
-        for path in args.inputs
-    ]
+    docs = [_parse_file(path, parse_subgraph) for path in args.inputs]
     foon = merge(docs)
     total, duplicates = merge_stats(docs, foon)
     _write(args.out, serialize_subgraph(SubgraphDocument(units=foon.units)))

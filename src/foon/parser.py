@@ -82,56 +82,63 @@ class SubgraphDocument:
     source_path: str = ""
 
 
-class _ObjectBlock:
-    def __init__(self, name, tag, line_number):
-        self.name = name
-        self.tag = tag
-        self.line_number = line_number
-        self.states = []
-        self.ingredients = set()
-
-    def build(self) -> ObjectNode:
-        return ObjectNode(
-            name=self.name,
-            states=frozenset(self.states),
-            ingredients=frozenset(self.ingredients),
-            motion_tag=self.tag,
-        )
-
-
 def _parse_ingredients(text, line_number):
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
         raise MalformedLine(f"expected {{...}} ingredient list, got {text!r}", line_number)
-    body = text[1:-1].strip()
-    if not body:
-        return set()
-    return {part.strip() for part in body.split(",") if part.strip()}
+    return {part for part in text[1:-1].split(",") if part.strip()}
 
 
 def _iter_records(text):
     """Yield (line_number, fields) for every significant line."""
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\r\n")
+    for number, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         yield number, line.split("\t")
 
 
-def _consume_object_line(fields, number):
-    if len(fields) < 2 or not fields[1].strip():
-        raise ObjectWithoutName("O line has no object name", number)
-    tag = fields[2].strip() if len(fields) > 2 else ""
-    return _ObjectBlock(fields[1], tag, number)
+def _read_blocks(text, unit_end_closes_block=True):
+    """Yield (line_number, tag, item) for the significant lines of ``text``.
+
+    O and S lines are read here: each object block is yielded once, as
+    ``(n, "O", ObjectNode)``, when the next O or M line, a ``//`` line if
+    ``unit_end_closes_block``, or the end of the text closes it; ``n`` is
+    the number of that closing line, or of the last significant line.
+    Every other line is yielded as ``(n, tag, fields)``. Blocks with the
+    same name, flag column, states in file order and ingredients yield one
+    shared ``ObjectNode``.
+    """
+    built = {}
+    name = None  # of the open block; None when no block is open
+    for number, fields in _iter_records(text):
+        tag = fields[0].strip()
+        if tag == "S":
+            if name is None:
+                raise StateBeforeObject("S line before any O line", number)
+            states.append(fields[1] if len(fields) > 1 else "")
+            if len(fields) > 2 and fields[2].strip():
+                ingredients.update(_parse_ingredients(fields[2], number))
+            continue
+        if name is not None and (tag in ("O", "M") or (tag == "//" and unit_end_closes_block)):
+            yield number, "O", _build(built, name, flag, states, ingredients)
+            name = None
+        if tag != "O":
+            yield number, tag, fields
+        elif len(fields) < 2 or not fields[1].strip():
+            raise ObjectWithoutName("O line has no object name", number)
+        else:
+            name, states, ingredients = fields[1], [], set()
+            flag = fields[2].strip() if len(fields) > 2 else ""
+    if name is not None:
+        yield number, "O", _build(built, name, flag, states, ingredients)
 
 
-def _consume_state_line(block, fields, number):
-    if block is None:
-        raise StateBeforeObject("S line before any O line", number)
-    state = fields[1] if len(fields) > 1 else ""
-    block.states.append(state)
-    if len(fields) > 2 and fields[2].strip():
-        block.ingredients |= _parse_ingredients(fields[2], number)
+def _build(built, name, flag, states, ingredients):
+    key = (name, flag, tuple(states), frozenset(ingredients))
+    obj = built.get(key)
+    if obj is None:
+        obj = built[key] = ObjectNode(name, states, ingredients, flag)
+    return obj
 
 
 def parse_subgraph(text: str, source_path: str = "") -> SubgraphDocument:
@@ -139,34 +146,19 @@ def parse_subgraph(text: str, source_path: str = "") -> SubgraphDocument:
     units = []
     inputs, outputs = [], []
     motion = None
-    block = None
-    last_number = 0
-
-    def flush_block():
-        nonlocal block
-        if block is not None:
-            (outputs if motion is not None else inputs).append(block.build())
-            block = None
-
-    for number, fields in _iter_records(text):
-        last_number = number
-        tag = fields[0].strip()
+    number = 0
+    for number, tag, item in _read_blocks(text):
         if tag == "O":
-            flush_block()
-            block = _consume_object_line(fields, number)
-        elif tag == "S":
-            _consume_state_line(block, fields, number)
+            (outputs if motion is not None else inputs).append(item)
         elif tag == "M":
-            flush_block()
             if motion is not None:
                 raise MultipleMotions("second M line in one unit", number)
-            if len(fields) < 2 or not fields[1].strip():
+            if len(item) < 2 or not item[1].strip():
                 raise MalformedLine("M line has no motion label", number)
-            start = fields[2].strip() if len(fields) > 2 and fields[2].strip() else None
-            end = fields[3].strip() if len(fields) > 3 and fields[3].strip() else None
-            motion = MotionNode(fields[1], start_time=start, end_time=end)
+            start = item[2].strip() if len(item) > 2 and item[2].strip() else None
+            end = item[3].strip() if len(item) > 3 and item[3].strip() else None
+            motion = MotionNode(item[1], start_time=start, end_time=end)
         elif tag == "//":
-            flush_block()
             if motion is None:
                 raise UnitWithoutMotion("unit ended by // has no M line", number)
             if not inputs or not outputs:
@@ -176,8 +168,8 @@ def parse_subgraph(text: str, source_path: str = "") -> SubgraphDocument:
         else:
             raise MalformedLine(f"unknown leading tag {tag!r}", number)
 
-    if block is not None or inputs or outputs or motion is not None:
-        raise DanglingUnit("unterminated unit at end of file", last_number)
+    if inputs or outputs or motion is not None:
+        raise DanglingUnit("unterminated unit at end of file", number)
     return SubgraphDocument(units=units, source_path=source_path)
 
 
@@ -250,23 +242,13 @@ def serialize_subgraph(doc: SubgraphDocument) -> str:
 def parse_kitchen(text: str) -> Kitchen:
     """Parse a kitchen file: O/S blocks only, one item per block."""
     items = []
-    block = None
-    for number, fields in _iter_records(text):
-        tag = fields[0].strip()
+    for number, tag, item in _read_blocks(text, unit_end_closes_block=False):
         if tag == "O":
-            if block is not None:
-                items.append(block.build())
-            block = _consume_object_line(fields, number)
-        elif tag == "S":
-            _consume_state_line(block, fields, number)
+            items.append(item)
         elif tag == "M":
             raise MotionInKitchenFile("M line in kitchen file", number)
-        elif tag == "//":
-            continue
-        else:
+        elif tag != "//":
             raise MalformedLine(f"unknown leading tag {tag!r}", number)
-    if block is not None:
-        items.append(block.build())
     return Kitchen(items)
 
 
@@ -288,7 +270,11 @@ def parse_rates(text: str) -> MotionRateTable:
 
 
 def parse_goal(spec: str) -> ObjectNode:
-    """Parse a goal spec string: ``name[;state1,state2[;ing1,ing2]]``."""
+    """Parse a goal spec string: ``name[;state1,state2[;ing1,ing2]]``.
+
+    A state written ``\\e``, the form ``object_key`` prints, is the empty
+    state of a bare S line.
+    """
     parts = spec.split(";")
     name = parts[0].strip()
     if not name:
@@ -296,7 +282,7 @@ def parse_goal(spec: str) -> ObjectNode:
     states = set()
     ingredients = set()
     if len(parts) > 1:
-        states = {s.strip() for s in parts[1].split(",") if s.strip()}
+        states = {"" if s.strip() == "\\e" else s for s in parts[1].split(",") if s.strip()}
     if len(parts) > 2:
-        ingredients = {i.strip() for i in parts[2].split(",") if i.strip()}
-    return ObjectNode(name=name, states=frozenset(states), ingredients=frozenset(ingredients))
+        ingredients = {i for i in parts[2].split(",") if i.strip()}
+    return ObjectNode(name=name, states=states, ingredients=ingredients)

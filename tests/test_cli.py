@@ -76,6 +76,16 @@ def test_search_goal_in_kitchen_writes_empty_tree(tmp_path, capsys):
     assert out.read_text() == ""
 
 
+def test_search_goal_with_the_empty_state(tmp_path, capsys):
+    kitchen = tmp_path / "kitchen.txt"
+    kitchen.write_text("O\tspoon\nS\n")
+    code, stdout, _ = run(
+        capsys, "search", "--foon", ICE / "foon.txt", "--goal", "spoon;\\e",
+        "--kitchen", kitchen, "--out", tmp_path / "tree.txt")
+    assert code == 0
+    assert "size: 0" in stdout
+
+
 @pytest.mark.parametrize("algo", ["ids", "gbfs-rate", "gbfs-inputs"])
 def test_search_ice_size_1(tmp_path, capsys, algo):
     out = tmp_path / "tree.txt"

@@ -143,6 +143,20 @@ def test_parse_kitchen_duplicate_blocks_collapse():
     assert len(parse_kitchen(text)) == 1
 
 
+def test_identical_blocks_share_one_instance():
+    text = (
+        "O\tbowl\t0\nS\tfull\t{tomato}\nM\tmix\nO\tbowl\t1\nS\tfull\t{tomato}\n//\n"
+        "O\tbowl\t0\nS\tfull\t{tomato}\nM\tpour\nO\tbowl\t1\nS\tfull\t{tomato}\n//\n"
+    )
+    first, second = parse_subgraph(text).units
+    assert first.inputs[0] is second.inputs[0]
+    assert first.outputs[0] is second.outputs[0]
+    # The flag column is read per occurrence: equal objects, two instances.
+    assert first.inputs[0] == first.outputs[0]
+    assert first.inputs[0] is not first.outputs[0]
+    assert (first.inputs[0].motion_tag, first.outputs[0].motion_tag) == ("0", "1")
+
+
 def test_parse_kitchen_rejects_motion():
     with pytest.raises(MotionInKitchenFile) as err:
         parse_kitchen("O\twater\nS\tliquid\nM\tpour\n")
@@ -182,6 +196,10 @@ def test_parse_goal_variants():
     assert salad.states == frozenset({"mixed"})
     bowl = parse_goal("bowl;full;tomato,onion")
     assert bowl.ingredients == frozenset({"tomato", "onion"})
+
+
+def test_parse_goal_empty_state_marker():
+    assert parse_goal("spoon;\\e") == ObjectNode("spoon", frozenset({""}))
 
 
 def test_parse_goal_empty_name():
