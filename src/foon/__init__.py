@@ -29,7 +29,6 @@ from .retrieval import (
     search_gbfs_inputs,
     search_gbfs_rate,
     search_ids,
-    tree_size,
     validate_task_tree,
 )
 
@@ -61,7 +60,6 @@ __all__ = [
     "search_gbfs_rate",
     "search_ids",
     "serialize_subgraph",
-    "tree_size",
     "unit_equals",
     "validate_task_tree",
 ]

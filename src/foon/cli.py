@@ -23,7 +23,6 @@ from .retrieval import (
     search_gbfs_inputs,
     search_gbfs_rate,
     search_ids,
-    tree_size,
 )
 
 EXIT_OK = 0
@@ -115,7 +114,7 @@ def cmd_search(args) -> int:
         return EXIT_NO_SOLUTION
     tree = outcome.tree
     _write(args.out, serialize_subgraph(SubgraphDocument(units=tree.units)))
-    print(f"size: {tree_size(tree)}")
+    print(f"size: {len(tree.units)}")
     print(f"expansions: {tree.stats.expansions}")
     print(f"max stack depth: {tree.stats.max_stack_depth}")
     print(f"depth limit reached: {tree.stats.depth_limit_reached}")
@@ -133,7 +132,7 @@ def _bench_goal(spec, foon, kitchen, rates, max_depth):
         times.append(f"{elapsed_ms:.3f}")
         stats = outcome.tree.stats if outcome.ok else outcome.failure.stats
         expansions.append(str(stats.expansions))
-        sizes.append(str(tree_size(outcome.tree)) if outcome.ok else "-")
+        sizes.append(str(len(outcome.tree.units)) if outcome.ok else "-")
         any_success = any_success or outcome.ok
     return "\t".join([spec] + sizes + times + expansions), any_success
 
@@ -165,8 +164,6 @@ def cmd_bench(args) -> int:
 
 def cmd_dot(args) -> int:
     doc = _parse_file(args.foon, parse_subgraph)
-    for index, unit in enumerate(doc.units):
-        unit.source_index = index
     _write(args.out, to_dot(doc.units))
     return EXIT_OK
 

@@ -11,10 +11,9 @@ def _escape(text: str) -> str:
 def to_dot(units) -> str:
     """Deterministic DOT text: object ellipses, motion boxes, input->motion->output edges.
 
-    Units are walked in source_index order and objects in key order, so the
-    same input always yields byte-identical output.
+    Units are walked in the order given and each unit's objects in key
+    order, so the same input always yields byte-identical output.
     """
-    ordered = sorted(units, key=lambda unit: (unit.source_index, unit.motion.label))
     lines = ["digraph foon {"]
     object_ids: dict[ObjectNode, str] = {}
     node_lines = []
@@ -27,7 +26,7 @@ def to_dot(units) -> str:
             node_lines.append(f'  {object_ids[obj]} [shape=ellipse, label="{label}"];')
         return object_ids[obj]
 
-    for position, unit in enumerate(ordered):
+    for position, unit in enumerate(units):
         motion_id = f"m{position}"
         node_lines.append(
             f'  {motion_id} [shape=box, label="{_escape(unit.motion.label)}"];')

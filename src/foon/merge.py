@@ -1,22 +1,21 @@
 """Combine subgraphs into a universal FOON: union with duplicate removal."""
 from __future__ import annotations
 
-import dataclasses
-
 from .model import UniversalFOON
 
 
 def merge(subgraphs) -> UniversalFOON:
     """Union all functional units, dropping duplicates.
 
-    Documents are visited in order and units in file order, so
-    source_index reflects first-encounter order. Units are copied so the
-    source documents keep their own ordinals. The result is frozen.
+    Documents are visited in order and units in file order, so the
+    earliest inserted of equal units is the first one encountered. The
+    result holds the documents' own unit objects, unmodified, and is
+    frozen.
     """
     foon = UniversalFOON()
     for doc in subgraphs:
         for unit in doc.units:
-            foon.insert(dataclasses.replace(unit, source_index=-1))
+            foon.insert(unit)
     return foon.freeze()
 
 

@@ -98,16 +98,11 @@ def object_key(obj: ObjectNode) -> str:
 
 @dataclass
 class FunctionalUnit:
-    """Input objects + one motion + output objects; the atomic planning operator.
-
-    ``source_index`` is the insertion ordinal assigned by UniversalFOON;
-    -1 until inserted. It never participates in equality.
-    """
+    """Input objects + one motion + output objects; the atomic planning operator."""
 
     inputs: list
     motion: MotionNode
     outputs: list
-    source_index: int = -1
 
     def __post_init__(self):
         if not self.inputs or not self.outputs:
@@ -125,6 +120,8 @@ def unit_equals(a: FunctionalUnit, b: FunctionalUnit) -> bool:
 
 class UniversalFOON:
     """Deduplicated collection of functional units with a producing-unit index.
+
+    A unit's ordinal is its index in ``units``: the order of insertion.
 
     Mutable only during construction; call :meth:`freeze` before sharing
     with concurrent searches.
@@ -146,7 +143,6 @@ class UniversalFOON:
         ident = unit.identity()
         if ident in self._identities:
             return False
-        unit.source_index = len(self.units)
         self.units.append(unit)
         self._identities.add(ident)
         for out in unit.outputs:
@@ -189,12 +185,14 @@ class Kitchen:
         return len(self._items)
 
 
+DEFAULT_RATE = 1.0
+
+
 @dataclass
 class MotionRateTable:
-    """Per-motion success rates in [0, 1]; unlisted labels get ``default_rate``."""
+    """Per-motion success rates in [0, 1]; unlisted labels get ``DEFAULT_RATE``."""
 
     rates: dict = field(default_factory=dict)
-    default_rate: float = 1.0
 
     def __post_init__(self):
         for label, rate in self.rates.items():
@@ -202,7 +200,7 @@ class MotionRateTable:
                 raise ValueError(f"rate for {label!r} out of [0, 1]: {rate}")
 
     def rate(self, label: str) -> float:
-        return self.rates.get(_norm(label), self.default_rate)
+        return self.rates.get(_norm(label), DEFAULT_RATE)
 
 
 @dataclass

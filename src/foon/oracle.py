@@ -49,7 +49,7 @@ def _derivable_keys(units, kitchen):
 def _execution_order(subset, kitchen):
     """A feasible execution order of ALL units in subset, or None.
 
-    Deterministic: always emits the lowest-source_index ready unit first.
+    Deterministic: always emits the ready unit that comes first in subset.
     If this greedy emission gets stuck, no order exists (executing extra
     units never removes availability).
     """
@@ -79,8 +79,8 @@ def oracle_search(
 ) -> TaskTree | None:
     """Exhaustive minimal-tree search. Returns None when no tree exists.
 
-    Subsets are enumerated by size, then lexicographically by source_index
-    sequence, so the result is the minimum-count tree with deterministic
+    Subsets are enumerated by size, then lexicographically by insertion
+    order, so the result is the minimum-count tree with deterministic
     tie-breaking. Raises BudgetExceeded past ``budget`` enumeration steps.
     """
     if goal in kitchen:
@@ -90,11 +90,10 @@ def oracle_search(
     if goal not in _derivable_keys(foon.units, kitchen):
         return None
 
-    units = sorted(foon.units, key=lambda unit: unit.source_index)
-    limit = len(units) if max_units is None else min(max_units, len(units))
+    limit = len(foon) if max_units is None else min(max_units, len(foon))
     steps = 0
     for size in range(1, limit + 1):
-        for subset in itertools.combinations(units, size):
+        for subset in itertools.combinations(foon.units, size):
             steps += 1
             if steps > budget:
                 raise BudgetExceeded(f"oracle exceeded {budget} enumeration steps")

@@ -72,10 +72,6 @@ class ValidationReport:
         return self.ok
 
 
-def tree_size(tree: TaskTree) -> int:
-    return len(tree.units)
-
-
 def validate_task_tree(tree: TaskTree, kitchen: Kitchen, goal: ObjectNode) -> ValidationReport:
     """Check executable order and that the tree actually yields the goal.
 
@@ -269,7 +265,9 @@ def _search_greedy(foon, goal, kitchen, selection_key) -> SearchOutcome:
         if not candidates:
             blocked.add(node)
             continue
-        best = min(candidates, key=lambda unit: (selection_key(unit), unit.source_index))
+        # Candidates are in insertion order and min keeps the first of
+        # equal keys, so ties go to the earliest inserted unit.
+        best = min(candidates, key=selection_key)
         selected.setdefault(id(best), best)
         for inp in best.inputs:
             if inp not in visited:
@@ -304,7 +302,7 @@ def search_gbfs_rate(
     rates: MotionRateTable | None = None,
 ) -> SearchOutcome:
     """Greedy best-first retrieval choosing the candidate with the highest
-    motion success rate (ties to the lowest source_index)."""
+    motion success rate (ties to the earliest inserted)."""
     table = rates if rates is not None else MotionRateTable()
     return _search_greedy(foon, goal, kitchen, lambda unit: -table.rate(unit.motion.label))
 
@@ -315,5 +313,5 @@ def search_gbfs_inputs(
     kitchen: Kitchen,
 ) -> SearchOutcome:
     """Greedy best-first retrieval choosing the candidate with the fewest
-    input nodes (ties to the lowest source_index)."""
+    input nodes (ties to the earliest inserted)."""
     return _search_greedy(foon, goal, kitchen, lambda unit: len(unit.inputs))

@@ -3,9 +3,11 @@
 ``search_ids``, ``_dependency_sort`` and ``_search_greedy`` below are
 copied unchanged from ``foon.retrieval`` as it stood before IDS moved to
 an explicit stack with one mutable path set and the greedy ordering
-became Kahn's algorithm. ``tests/test_search_reference.py`` asserts that
+became Kahn's algorithm. ``tests/test_search_core.py`` asserts that
 the current searches return exactly what these return. Do not edit them
-to follow the library; they are the reference.
+to follow the library; they are the reference. One edit was made when
+units stopped storing their ordinal: the greedy tie-break reads the
+unit's index in ``foon.units``, the value the stored ordinal held.
 """
 from __future__ import annotations
 
@@ -148,6 +150,7 @@ def _search_greedy(foon, goal, kitchen, selection_key) -> SearchOutcome:
     selected: dict[int, FunctionalUnit] = {}
     visits: dict[ObjectNode, int] = {}
     blocked = set()
+    ordinal = {id(unit): position for position, unit in enumerate(foon.units)}
     while queue:
         node = queue.popleft()
         if node in kitchen:
@@ -158,7 +161,7 @@ def _search_greedy(foon, goal, kitchen, selection_key) -> SearchOutcome:
         if not candidates:
             blocked.add(node)
             continue
-        best = min(candidates, key=lambda unit: (selection_key(unit), unit.source_index))
+        best = min(candidates, key=lambda unit: (selection_key(unit), ordinal[id(unit)]))
         selected.setdefault(id(best), best)
         for inp in best.inputs:
             if inp not in visited:

@@ -192,6 +192,31 @@ def test_dot_freeze_unit(tmp_path, capsys):
     assert text.count("->") == 2
 
 
+def test_dot_numbers_units_in_file_order(tmp_path, capsys):
+    # "crush" sorts before "freeze", so a label order would swap m0 and m1.
+    src = tmp_path / "tree.txt"
+    src.write_text(
+        "O\twater\t1\nS\tliquid\nM\tfreeze\nO\tice\t0\nS\tsolid\n//\n"
+        "O\tice\t1\nS\tsolid\nM\tcrush\nO\tice\t0\nS\tcrushed\n//\n"
+    )
+    out = tmp_path / "g.dot"
+    code, _, _ = run(capsys, "dot", "--foon", src, "--out", out)
+    assert code == 0
+    assert out.read_text() == (
+        "digraph foon {\n"
+        '  m0 [shape=box, label="freeze"];\n'
+        '  o0 [shape=ellipse, label="water\\nliquid"];\n'
+        '  o1 [shape=ellipse, label="ice\\nsolid"];\n'
+        '  m1 [shape=box, label="crush"];\n'
+        '  o2 [shape=ellipse, label="ice\\ncrushed"];\n'
+        "  o0 -> m0;\n"
+        "  m0 -> o1;\n"
+        "  o1 -> m1;\n"
+        "  m1 -> o2;\n"
+        "}\n"
+    )
+
+
 def test_dot_parse_error_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("Z\n")

@@ -92,6 +92,13 @@ def test_merge_of_merged_output_is_stable(corpus_docs):
     assert _unit_identity_set(merge([rewrapped])) == _unit_identity_set(foon)
 
 
-def test_source_index_is_first_encounter_order(corpus_docs):
+def test_merge_keeps_first_encountered_units_in_order(corpus_docs):
+    before = repr(corpus_docs)
+    first = {}
+    for doc in corpus_docs:
+        for u in doc.units:
+            first.setdefault(u.identity(), u)
     foon = merge(corpus_docs)
-    assert [u.source_index for u in foon.units] == list(range(len(foon)))
+    assert len(foon.units) == len(first)
+    assert all(a is b for a, b in zip(foon.units, first.values()))
+    assert repr(corpus_docs) == before

@@ -149,15 +149,19 @@ def test_producers_insertion_order():
     u2 = unit([obj("b", "x")], "stir", [shared])
     foon = build_foon(u1, u2)
     producers = foon.producing(shared)
-    assert [p.source_index for p in producers] == [0, 1]
+    assert [_positions(foon)[id(p)] for p in producers] == [0, 1]
     assert producers == [u1, u2]
+
+
+def _positions(foon):
+    return {id(u): position for position, u in enumerate(foon.units)}
 
 
 def _rebuild_producers(foon):
     rebuilt = {}
-    for u in foon.units:
+    for position, u in enumerate(foon.units):
         for out in u.outputs:
-            rebuilt.setdefault(out, []).append(u.source_index)
+            rebuilt.setdefault(out, []).append(position)
     return rebuilt
 
 
@@ -172,7 +176,8 @@ def test_producers_index_matches_rebuild(seed):
         ins = rng.sample(pool, rng.randint(1, 2))
         outs = rng.sample(pool, rng.randint(1, 2))
         foon.insert(unit(ins, rng.choice(["mix", "pour"]), outs))
-    maintained = {k: [u.source_index for u in v] for k, v in foon.producers.items()}
+    positions = _positions(foon)
+    maintained = {k: [positions[id(u)] for u in v] for k, v in foon.producers.items()}
     assert maintained == _rebuild_producers(foon)
 
 

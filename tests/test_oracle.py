@@ -8,7 +8,6 @@ from foon import (
     generate_instance,
     object_key,
     oracle_search,
-    tree_size,
     validate_task_tree,
 )
 from foon.oracle import BudgetExceeded, _execution_order
@@ -20,7 +19,7 @@ def test_oracle_goal_in_kitchen():
     goal = obj("water", "liquid")
     foon = build_foon(unit([obj("a", "x")], "mix", [obj("b", "y")]))
     tree = oracle_search(foon, goal, Kitchen([goal]))
-    assert tree is not None and tree_size(tree) == 0
+    assert tree is not None and len(tree.units) == 0
 
 
 def test_oracle_unreachable():
@@ -53,7 +52,7 @@ def test_oracle_prefers_fewer_units():
         unit([base], "blend", [goal]),
     )
     tree = oracle_search(foon, goal, Kitchen([base]))
-    assert tree_size(tree) == 1
+    assert len(tree.units) == 1
     assert tree.units[0].motion.label == "blend"
 
 
@@ -90,7 +89,7 @@ def test_oracle_full_power_set_spot_check():
         if tree is None:
             assert best is None
         else:
-            assert best == tree_size(tree)
+            assert best == len(tree.units)
             assert validate_task_tree(tree, kitchen, goal)
 
 

@@ -9,7 +9,6 @@ from foon import (
     search_gbfs_inputs,
     search_gbfs_rate,
     search_ids,
-    tree_size,
     validate_task_tree,
 )
 from foon.retrieval import FailureReason, TaskTree
@@ -27,7 +26,7 @@ def test_goal_in_kitchen_all_algorithms():
         search_gbfs_inputs(foon, goal, kitchen),
     ):
         assert outcome.ok
-        assert tree_size(outcome.tree) == 0
+        assert len(outcome.tree.units) == 0
         assert validate_task_tree(outcome.tree, kitchen, goal)
 
 
@@ -49,7 +48,7 @@ def test_ids_chain_solved_at_depth_three(chain):
     assert validate_task_tree(tree, kitchen, goal)
     # the exhaustive oracle agrees no smaller tree exists
     minimal = oracle_search(foon, goal, kitchen, max_units=3)
-    assert minimal is not None and tree_size(minimal) == 3
+    assert minimal is not None and len(minimal.units) == 3
 
 
 def test_ids_depth_exhausted(chain):
@@ -113,7 +112,7 @@ def test_ids_deduplicates_shared_dependency():
     assert outcome.ok
     identities = [u.identity() for u in outcome.tree.units]
     assert len(identities) == len(set(identities))
-    assert tree_size(outcome.tree) == 4
+    assert len(outcome.tree.units) == 4
 
 
 def _two_candidate_foon():
@@ -133,10 +132,10 @@ def test_gbfs_rate_picks_max_rate():
     assert outcome.tree.units[0].identity() == fast.identity()
 
 
-def test_gbfs_rate_tie_breaks_to_lowest_source_index():
+def test_gbfs_rate_tie_breaks_to_earliest_inserted():
     foon, goal, kitchen, fast, slow = _two_candidate_foon()
     outcome = search_gbfs_rate(foon, goal, kitchen, MotionRateTable())
-    assert outcome.tree.units[0].source_index == 0
+    assert outcome.tree.units[0] is foon.units[0]
     assert outcome.tree.units[0].identity() == slow.identity()
 
 
@@ -189,12 +188,6 @@ def test_validate_empty_tree_goal_in_kitchen():
     goal = obj("ice", "solid")
     assert validate_task_tree(TaskTree([], goal), Kitchen([goal]), goal)
     assert not validate_task_tree(TaskTree([], goal), Kitchen(), goal)
-
-
-def test_tree_size():
-    goal = obj("goal", "done")
-    assert tree_size(TaskTree([], goal)) == 0
-    assert tree_size(TaskTree([unit([obj("a", "x")], "mix", [goal])], goal)) == 1
 
 
 @pytest.mark.parametrize("seed", range(60))

@@ -14,10 +14,12 @@ from foon import (
     Kitchen,
     MotionRateTable,
     ObjectNode,
+    TaskTree,
     generate_instance,
     search_gbfs_inputs,
     search_gbfs_rate,
     search_ids,
+    validate_task_tree,
 )
 
 import reference_search as reference
@@ -125,4 +127,14 @@ def test_gbfs_inputs_hash_calls_linear_in_fan_width(monkeypatch):
 def test_gbfs_rate_hash_calls_linear_in_chain_length(monkeypatch):
     short = _hash_calls(monkeypatch, search_gbfs_rate, *_chain(100)[:3])
     long = _hash_calls(monkeypatch, search_gbfs_rate, *_chain(200)[:3])
+    assert long <= 2.5 * short, (short, long)
+
+
+def test_validation_hash_calls_linear_in_chain_length(monkeypatch):
+    def validate(foon, goal, kitchen):
+        # A chain FOON's units, in insertion order, are its task tree.
+        return validate_task_tree(TaskTree(foon.units, goal), kitchen, goal)
+
+    short = _hash_calls(monkeypatch, validate, *_chain(100)[:3])
+    long = _hash_calls(monkeypatch, validate, *_chain(200)[:3])
     assert long <= 2.5 * short, (short, long)
