@@ -10,9 +10,7 @@ from .model import (
     SearchStats,
     UniversalFOON,
     object_key,
-    unit_equals,
 )
-from .oracle import BudgetExceeded, GeneratorConfig, generate_instance, oracle_search
 from .parser import (
     ParseError,
     SubgraphDocument,
@@ -33,10 +31,8 @@ from .retrieval import (
 )
 
 __all__ = [
-    "BudgetExceeded",
     "FailureReason",
     "FunctionalUnit",
-    "GeneratorConfig",
     "Kitchen",
     "MotionNode",
     "MotionRateTable",
@@ -47,11 +43,9 @@ __all__ = [
     "SubgraphDocument",
     "TaskTree",
     "UniversalFOON",
-    "generate_instance",
     "merge",
     "merge_stats",
     "object_key",
-    "oracle_search",
     "parse_goal",
     "parse_kitchen",
     "parse_rates",
@@ -60,6 +54,5 @@ __all__ = [
     "search_gbfs_rate",
     "search_ids",
     "serialize_subgraph",
-    "unit_equals",
     "validate_task_tree",
 ]

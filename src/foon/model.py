@@ -3,8 +3,8 @@
 A FOON is a bipartite graph of object nodes and motion nodes. Its atomic
 element is the functional unit: input objects, one motion, output objects.
 Everything downstream (merging, retrieval) keys off the identity rules
-defined here: an ``ObjectNode`` is its own identity, compared and hashed
-on name, states and ingredients.
+defined here: an ``ObjectNode`` and a ``FunctionalUnit`` are each their
+own identity, compared and hashed as their docstrings say.
 """
 from __future__ import annotations
 
@@ -96,26 +96,34 @@ def object_key(obj: ObjectNode) -> str:
     )
 
 
-@dataclass
+@dataclass(frozen=True, slots=True, eq=False)
 class FunctionalUnit:
-    """Input objects + one motion + output objects; the atomic planning operator."""
+    """Input objects + one motion + output objects; the atomic planning operator.
 
-    inputs: list
+    A unit is its own identity: equal, and hashed alike, on input object
+    set, motion label and output object set. ``inputs`` and ``outputs``
+    are tuples in the order given, which equality ignores.
+    """
+
+    inputs: tuple
     motion: MotionNode
-    outputs: list
+    outputs: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "inputs", tuple(self.inputs))
+        object.__setattr__(self, "outputs", tuple(self.outputs))
         if not self.inputs or not self.outputs:
             raise ValueError("functional unit needs at least one input and one output")
 
-    def identity(self):
-        """Hashable identity: input object set, motion label, output object set."""
-        return (frozenset(self.inputs), self.motion.label, frozenset(self.outputs))
+    def __eq__(self, other):
+        if not isinstance(other, FunctionalUnit):
+            return NotImplemented
+        return (self.motion.label == other.motion.label
+                and frozenset(self.inputs) == frozenset(other.inputs)
+                and frozenset(self.outputs) == frozenset(other.outputs))
 
-
-def unit_equals(a: FunctionalUnit, b: FunctionalUnit) -> bool:
-    """True iff the units are duplicates: same input set, output set and motion label."""
-    return a.identity() == b.identity()
+    def __hash__(self):
+        return hash((frozenset(self.inputs), self.motion.label, frozenset(self.outputs)))
 
 
 class UniversalFOON:
@@ -130,7 +138,7 @@ class UniversalFOON:
     def __init__(self):
         self.units: list[FunctionalUnit] = []
         self.producers: dict[ObjectNode, list[FunctionalUnit]] = {}
-        self._identities = set()
+        self._identities: set[FunctionalUnit] = set()
         self._frozen = False
 
     def insert(self, unit: FunctionalUnit) -> bool:
@@ -140,11 +148,12 @@ class UniversalFOON:
         """
         if self._frozen:
             raise RuntimeError("cannot insert into a frozen FOON")
-        ident = unit.identity()
-        if ident in self._identities:
+        # One hash per insert: the set grows unless an equal unit is held.
+        known = len(self._identities)
+        self._identities.add(unit)
+        if len(self._identities) == known:
             return False
         self.units.append(unit)
-        self._identities.add(ident)
         for out in unit.outputs:
             self.producers.setdefault(out, []).append(unit)
         return True

@@ -76,10 +76,9 @@ class EmptyGoalName(ParseError):
 
 @dataclass
 class SubgraphDocument:
-    """Functional units in file order, plus where they came from."""
+    """Functional units in file order."""
 
     units: list = field(default_factory=list)
-    source_path: str = ""
 
 
 def _parse_ingredients(text, line_number):
@@ -141,7 +140,7 @@ def _build(built, name, flag, states, ingredients):
     return obj
 
 
-def parse_subgraph(text: str, source_path: str = "") -> SubgraphDocument:
+def parse_subgraph(text: str) -> SubgraphDocument:
     """Parse subgraph text into a document of functional units in file order."""
     units = []
     inputs, outputs = [], []
@@ -170,7 +169,7 @@ def parse_subgraph(text: str, source_path: str = "") -> SubgraphDocument:
 
     if inputs or outputs or motion is not None:
         raise DanglingUnit("unterminated unit at end of file", number)
-    return SubgraphDocument(units=units, source_path=source_path)
+    return SubgraphDocument(units=units)
 
 
 # A tab or any line boundary of str.splitlines() inside a token would split

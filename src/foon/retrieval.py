@@ -286,13 +286,9 @@ def _search_greedy(foon, goal, kitchen, selection_key) -> SearchOutcome:
     if sort_blocked:
         return SearchOutcome(failure=SearchFailure(
             FailureReason.UNSATISFIED_LEAVES, sort_blocked, stats))
-    tree = TaskTree(ordered, goal, stats)
-    report = validate_task_tree(tree, kitchen, goal)
-    if not report:
-        return SearchOutcome(failure=SearchFailure(
-            FailureReason.UNSATISFIED_LEAVES,
-            [report.obj] if report.obj is not None else [goal], stats))
-    return SearchOutcome(tree=tree)
+    # Kahn's sort emitted every selected unit, so the order is executable,
+    # and the unit chosen for the goal produces it.
+    return SearchOutcome(tree=TaskTree(ordered, goal, stats))
 
 
 def search_gbfs_rate(

@@ -40,7 +40,7 @@ def corpus_paths():
 
 @pytest.fixture(scope="session")
 def corpus_docs(corpus_paths):
-    return [parse_subgraph(p.read_text(encoding="utf-8"), str(p)) for p in corpus_paths]
+    return [parse_subgraph(p.read_text(encoding="utf-8")) for p in corpus_paths]
 
 
 @pytest.fixture(scope="session")

@@ -11,14 +11,14 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .model import (
+from foon.model import (
     FunctionalUnit,
     Kitchen,
     MotionNode,
     ObjectNode,
     UniversalFOON,
 )
-from .retrieval import TaskTree
+from foon.retrieval import TaskTree
 
 DEFAULT_NODE_BUDGET = 10**6
 

@@ -2,7 +2,9 @@
 
 ``parse_subgraph``, ``parse_kitchen`` and their helpers below are copied
 unchanged from ``foon.parser`` as it stood before both parsers read
-object blocks through one generator. ``tests/test_parser_reference.py``
+object blocks through one generator, with one edit: ``parse_subgraph``
+no longer takes a source path to pass through to the document, since
+``SubgraphDocument`` no longer carries one. ``tests/test_parser_reference.py``
 asserts that the current parsers return the same units, or raise the same
 exception with the same line number and message, as these. Do not edit
 them to follow the library; they are the reference.
@@ -75,7 +77,7 @@ def _consume_state_line(block, fields, number):
         block.ingredients |= _parse_ingredients(fields[2], number)
 
 
-def parse_subgraph(text: str, source_path: str = "") -> SubgraphDocument:
+def parse_subgraph(text: str) -> SubgraphDocument:
     """Parse subgraph text into a document of functional units in file order."""
     units = []
     inputs, outputs = [], []
@@ -119,7 +121,7 @@ def parse_subgraph(text: str, source_path: str = "") -> SubgraphDocument:
 
     if block is not None or inputs or outputs or motion is not None:
         raise DanglingUnit("unterminated unit at end of file", last_number)
-    return SubgraphDocument(units=units, source_path=source_path)
+    return SubgraphDocument(units=units)
 
 
 def parse_kitchen(text: str) -> Kitchen:

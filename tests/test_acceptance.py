@@ -13,12 +13,9 @@ from pathlib import Path
 import pytest
 
 from foon import (
-    GeneratorConfig,
     MotionRateTable,
-    generate_instance,
     merge,
     merge_stats,
-    oracle_search,
     parse_goal,
     parse_kitchen,
     parse_rates,
@@ -27,12 +24,12 @@ from foon import (
     search_gbfs_rate,
     search_ids,
     serialize_subgraph,
-    unit_equals,
     validate_task_tree,
 )
 from foon.cli import main as cli_main
 
 from conftest import CORPUS_DIR, FIXTURES
+from oracle import GeneratorConfig, generate_instance, oracle_search
 
 ICE = FIXTURES / "ice"
 DIVERGENCE = FIXTURES / "divergence"
@@ -59,11 +56,11 @@ def test_criterion_1_parser_round_trip(corpus_paths):
     started = time.perf_counter()
     total_units = 0
     for path in corpus_paths:
-        first = parse_subgraph(path.read_text(encoding="utf-8"), str(path))
+        first = parse_subgraph(path.read_text(encoding="utf-8"))
         second = parse_subgraph(serialize_subgraph(first))
         assert len(first.units) == len(second.units)
         for a, b in zip(first.units, second.units):
-            assert unit_equals(a, b)
+            assert a == b
             assert a.motion.start_time == b.motion.start_time
             assert a.motion.end_time == b.motion.end_time
             assert [o.motion_tag for o in a.inputs + a.outputs] == \
@@ -80,20 +77,20 @@ def test_criterion_2_merge_properties(corpus_docs):
     single = merge(corpus_docs)
     doubled = merge(corpus_docs + corpus_docs)
     assert len(doubled) == len(single)
-    assert {u.identity() for u in doubled.units} == {u.identity() for u in single.units}
+    assert set(doubled.units) == set(single.units)
 
-    reference = {u.identity() for u in single.units}
+    reference = set(single.units)
     rng = random.Random(2024)
     for _ in range(20):
         shuffled = list(corpus_docs)
         rng.shuffle(shuffled)
-        assert {u.identity() for u in merge(shuffled).units} == reference
+        assert set(merge(shuffled).units) == reference
 
     seen = []
     pairwise_duplicates = 0
     for doc in corpus_docs:
         for u in doc.units:
-            if any(unit_equals(u, earlier) for earlier in seen):
+            if any(u == earlier for earlier in seen):
                 pairwise_duplicates += 1
             else:
                 seen.append(u)
@@ -160,7 +157,7 @@ def test_criterion_5_fixture_scale_table():
     h2 = search_gbfs_inputs(foon, goal, kitchen)
     assert h1.ok and h2.ok
     # max-rate and min-input select different candidate units for the goal
-    assert h1.tree.units[-1].identity() != h2.tree.units[-1].identity()
+    assert h1.tree.units[-1] != h2.tree.units[-1]
     assert len(h1.tree.units) == 2
     assert len(h2.tree.units) == 1
 

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from foon import merge, merge_stats, parse_subgraph, unit_equals
+from foon import merge, merge_stats, parse_subgraph
 from foon.cli import BENCH_HEADER, main
 
 from conftest import CORPUS_DIR, FIXTURES
@@ -33,8 +33,7 @@ def test_merge_single_file(tmp_path, capsys):
     original = parse_subgraph(src.read_text())
     merged = parse_subgraph(out.read_text())
     assert len(merged.units) == len(original.units)
-    for a, b in zip(original.units, merged.units):
-        assert unit_equals(a, b)
+    assert merged.units == original.units
     assert "duplicates removed: 0" in stdout
 
 
@@ -53,7 +52,7 @@ def test_merge_corpus_duplicate_count(tmp_path, capsys):
     out = tmp_path / "universal.txt"
     code, stdout, _ = run(capsys, "merge", *paths, "--out", out)
     assert code == 0
-    docs = [parse_subgraph(p.read_text(), str(p)) for p in paths]
+    docs = [parse_subgraph(p.read_text()) for p in paths]
     _, expected_dups = merge_stats(docs, merge(docs))
     assert f"duplicates removed: {expected_dups}" in stdout
 

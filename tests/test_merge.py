@@ -1,6 +1,6 @@
 import random
 
-from foon import SubgraphDocument, merge, merge_stats, unit_equals
+from foon import SubgraphDocument, merge, merge_stats
 
 from conftest import obj, unit
 
@@ -52,7 +52,7 @@ def _brute_force_duplicates(docs):
     duplicates = 0
     for doc in docs:
         for u in doc.units:
-            if any(unit_equals(u, earlier) for earlier in seen):
+            if any(u == earlier for earlier in seen):
                 duplicates += 1
             else:
                 seen.append(u)
@@ -67,17 +67,13 @@ def test_merge_stats_matches_pairwise_scan(corpus_docs):
     assert total - removed == len(foon)
 
 
-def _unit_identity_set(foon):
-    return {u.identity() for u in foon.units}
-
-
 def test_merge_permutation_invariance(corpus_docs):
-    reference = _unit_identity_set(merge(corpus_docs))
+    reference = set(merge(corpus_docs).units)
     rng = random.Random(7)
     for _ in range(20):
         shuffled = list(corpus_docs)
         rng.shuffle(shuffled)
-        assert _unit_identity_set(merge(shuffled)) == reference
+        assert set(merge(shuffled).units) == reference
 
 
 def test_merge_monotonic(corpus_docs):
@@ -89,7 +85,7 @@ def test_merge_monotonic(corpus_docs):
 def test_merge_of_merged_output_is_stable(corpus_docs):
     foon = merge(corpus_docs)
     rewrapped = SubgraphDocument(units=foon.units)
-    assert _unit_identity_set(merge([rewrapped])) == _unit_identity_set(foon)
+    assert set(merge([rewrapped]).units) == set(foon.units)
 
 
 def test_merge_keeps_first_encountered_units_in_order(corpus_docs):
@@ -97,7 +93,7 @@ def test_merge_keeps_first_encountered_units_in_order(corpus_docs):
     first = {}
     for doc in corpus_docs:
         for u in doc.units:
-            first.setdefault(u.identity(), u)
+            first.setdefault(u, u)
     foon = merge(corpus_docs)
     assert len(foon.units) == len(first)
     assert all(a is b for a, b in zip(foon.units, first.values()))

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import pickle
 import subprocess
@@ -12,6 +13,7 @@ from foon import (
     Kitchen,
     MotionNode,
     ObjectNode,
+    SubgraphDocument,
     UniversalFOON,
     merge,
     object_key,
@@ -20,7 +22,6 @@ from foon import (
     search_gbfs_inputs,
     search_gbfs_rate,
     search_ids,
-    unit_equals,
     validate_task_tree,
 )
 
@@ -101,23 +102,59 @@ units = st.builds(
 
 
 @given(a=units, b=units, c=units)
-def test_unit_equals_is_equivalence(a, b, c):
-    assert unit_equals(a, a)
-    assert unit_equals(a, b) == unit_equals(b, a)
-    if unit_equals(a, b) and unit_equals(b, c):
-        assert unit_equals(a, c)
+def test_unit_equality_is_equivalence(a, b, c):
+    assert a == a
+    assert (a == b) == (b == a)
+    if a == b:
+        assert hash(a) == hash(b)
+        if b == c:
+            assert a == c
 
 
-def test_unit_equals_ignores_timestamps():
+def test_unit_equality_ignores_timestamps():
     a = unit([obj("water", "liquid")], "freeze", [obj("ice", "solid")], start_time="0:05")
     b = unit([obj("water", "liquid")], "freeze", [obj("ice", "solid")], end_time="1:00")
-    assert unit_equals(a, b)
+    assert a == b
+    assert hash(a) == hash(b)
 
 
-def test_unit_equals_sensitive_to_state():
+def test_unit_equality_ignores_object_motion_tags():
+    a = unit([obj("water", "liquid", tag="1")], "freeze", [obj("ice", "solid", tag="0")])
+    b = unit([obj("water", "liquid")], "freeze", [obj("ice", "solid", tag="1")])
+    assert a == b
+    assert hash(a) == hash(b)
+
+
+def test_unit_equality_sensitive_to_state():
     a = unit([obj("tomato", "whole")], "slice", [obj("tomato", "sliced")])
     b = unit([obj("tomato", "whole")], "slice", [obj("tomato", "whole")])
-    assert not unit_equals(a, b)
+    assert a != b
+
+
+def test_unit_equality_sensitive_to_motion_label():
+    a = unit([obj("tomato", "whole")], "slice", [obj("tomato", "sliced")])
+    b = unit([obj("tomato", "whole")], "dice", [obj("tomato", "sliced")])
+    assert a != b
+
+
+def test_unit_equality_ignores_listing_order():
+    oil, egg, pan = obj("oil", "liquid"), obj("egg", "whole"), obj("pan", "")
+    fried, shell = obj("egg", "fried"), obj("shell", "empty")
+    first = unit([oil, egg, pan], "fry", [fried, shell])
+    second = unit([pan, oil, egg], "fry", [shell, fried])
+    assert first == second
+    assert hash(first) == hash(second)
+    foon = merge([SubgraphDocument(units=[first, second])])
+    assert len(foon.units) == 1
+    assert foon.units[0] is first
+
+
+def test_unit_stores_tuples_and_is_frozen():
+    u = FunctionalUnit([obj("water", "liquid")], MotionNode("freeze"), [obj("ice", "solid")])
+    assert u.inputs == (obj("water", "liquid"),)
+    assert u.outputs == (obj("ice", "solid"),)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        u.inputs = [obj("milk", "liquid")]
 
 
 def test_unit_requires_inputs_and_outputs():
@@ -240,3 +277,23 @@ def test_unpickled_object_hashes_for_the_loading_process():
     loaded = pickle.loads(data)
     assert loaded in {obj("tomato", "chopped", ings=("salt",))}
     assert loaded.motion_tag == "1"
+
+
+def test_unpickled_unit_hashes_for_the_loading_process():
+    # A process with another string-hash seed pickles the unit; the unit
+    # and its objects must hash as this process hashes them.
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    code = ("import pickle, sys; from foon import FunctionalUnit, MotionNode, ObjectNode; "
+            "sys.stdout.buffer.write(pickle.dumps(FunctionalUnit("
+            "[ObjectNode('tomato', {'whole'}), ObjectNode('knife')], MotionNode('slice', '0:01'), "
+            "[ObjectNode('tomato', {'sliced'})])))")
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(sys.path))
+    data = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          check=True).stdout
+    loaded = pickle.loads(data)
+    local = unit([obj("knife"), obj("tomato", "whole")], "slice", [obj("tomato", "sliced")])
+    assert loaded == local
+    assert hash(loaded) == hash(local)
+    assert loaded in {local}
+    assert loaded.motion.start_time == "0:01"
+    assert isinstance(loaded.inputs, tuple)

@@ -2,17 +2,16 @@ import itertools
 
 import pytest
 
-from foon import (
-    GeneratorConfig,
-    Kitchen,
-    generate_instance,
-    object_key,
-    oracle_search,
-    validate_task_tree,
-)
-from foon.oracle import BudgetExceeded, _execution_order
+from foon import Kitchen, object_key, validate_task_tree
 
 from conftest import build_foon, obj, unit
+from oracle import (
+    BudgetExceeded,
+    GeneratorConfig,
+    _execution_order,
+    generate_instance,
+    oracle_search,
+)
 
 
 def test_oracle_goal_in_kitchen():
@@ -97,7 +96,7 @@ def test_generator_deterministic():
     cfg = GeneratorConfig(max_units=12, seed=99)
     a_foon, a_goal, a_kitchen = generate_instance(cfg)
     b_foon, b_goal, b_kitchen = generate_instance(cfg)
-    assert [u.identity() for u in a_foon.units] == [u.identity() for u in b_foon.units]
+    assert a_foon.units == b_foon.units
     assert object_key(a_goal) == object_key(b_goal)
     assert sorted(map(object_key, a_kitchen.items)) == sorted(map(object_key, b_kitchen.items))
 

@@ -111,15 +111,13 @@ def test_serialize_sorts_ingredients():
 
 
 def test_round_trip_over_corpus(corpus_paths):
-    from foon import unit_equals
-
     for path in corpus_paths:
-        first = parse_subgraph(path.read_text(encoding="utf-8"), str(path))
+        first = parse_subgraph(path.read_text(encoding="utf-8"))
         emitted = serialize_subgraph(first)
         second = parse_subgraph(emitted)
         assert len(first.units) == len(second.units), path.name
         for a, b in zip(first.units, second.units):
-            assert unit_equals(a, b), path.name
+            assert a == b, path.name
             assert [o.motion_tag for o in a.inputs] == [o.motion_tag for o in b.inputs]
             assert [o.motion_tag for o in a.outputs] == [o.motion_tag for o in b.outputs]
             assert a.motion.start_time == b.motion.start_time
@@ -264,5 +262,4 @@ def test_serialize_refuses_or_round_trips_api_units(units):
     except ValueError:
         return
     parsed = parse_subgraph(text).units
-    assert [(u.identity(), u.motion.label) for u in parsed] == [
-        (u.identity(), u.motion.label) for u in units]
+    assert parsed == units

@@ -153,7 +153,7 @@ def _outcome(parse, summarize, text):
 
 
 def _units(doc):
-    return doc.source_path, [
+    return [
         (_objects(u.inputs), (u.motion.label, u.motion.start_time, u.motion.end_time),
          _objects(u.outputs))
         for u in doc.units

@@ -3,9 +3,6 @@ import pytest
 from foon import (
     Kitchen,
     MotionRateTable,
-    generate_instance,
-    GeneratorConfig,
-    oracle_search,
     search_gbfs_inputs,
     search_gbfs_rate,
     search_ids,
@@ -14,6 +11,7 @@ from foon import (
 from foon.retrieval import FailureReason, TaskTree
 
 from conftest import build_foon, obj, unit
+from oracle import GeneratorConfig, generate_instance, oracle_search
 
 
 def test_goal_in_kitchen_all_algorithms():
@@ -110,8 +108,7 @@ def test_ids_deduplicates_shared_dependency():
     )
     outcome = search_ids(foon, goal, Kitchen([base]))
     assert outcome.ok
-    identities = [u.identity() for u in outcome.tree.units]
-    assert len(identities) == len(set(identities))
+    assert len(set(outcome.tree.units)) == len(outcome.tree.units)
     assert len(outcome.tree.units) == 4
 
 
@@ -129,21 +126,21 @@ def test_gbfs_rate_picks_max_rate():
     rates = MotionRateTable({"blend": 0.9, "mix": 0.4})
     outcome = search_gbfs_rate(foon, goal, kitchen, rates)
     assert outcome.ok
-    assert outcome.tree.units[0].identity() == fast.identity()
+    assert outcome.tree.units[0] == fast
 
 
 def test_gbfs_rate_tie_breaks_to_earliest_inserted():
     foon, goal, kitchen, fast, slow = _two_candidate_foon()
     outcome = search_gbfs_rate(foon, goal, kitchen, MotionRateTable())
     assert outcome.tree.units[0] is foon.units[0]
-    assert outcome.tree.units[0].identity() == slow.identity()
+    assert outcome.tree.units[0] == slow
 
 
 def test_gbfs_inputs_picks_fewest_inputs():
     foon, goal, kitchen, fast, slow = _two_candidate_foon()
     outcome = search_gbfs_inputs(foon, goal, kitchen)
     assert outcome.ok
-    assert outcome.tree.units[0].identity() == fast.identity()
+    assert outcome.tree.units[0] == fast
 
 
 def test_gbfs_unsatisfied_leaves():

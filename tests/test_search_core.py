@@ -3,19 +3,21 @@
 The differential tests compare every search with the copies in
 ``reference_search.py`` field by field. The scaling tests count
 ``ObjectNode.__hash__`` calls, which every set and dict lookup of an
-object makes, so they gate the complexity class without timing anything.
+object makes, and ``ObjectNode.__eq__`` calls, which every scan of a list
+for an object makes, so they gate the complexity class without timing
+anything. The merge gate counts ``FunctionalUnit.__hash__`` calls.
 """
 import sys
 
 import pytest
 
 from foon import (
-    GeneratorConfig,
+    FunctionalUnit,
     Kitchen,
     MotionRateTable,
     ObjectNode,
     TaskTree,
-    generate_instance,
+    merge,
     search_gbfs_inputs,
     search_gbfs_rate,
     search_ids,
@@ -24,6 +26,7 @@ from foon import (
 
 import reference_search as reference
 from conftest import build_foon, obj, unit
+from oracle import GeneratorConfig, generate_instance
 
 
 def _summary(outcome):
@@ -102,32 +105,41 @@ def _fan(width):
     return build_foon(*units, unit(parts, "assemble", [goal])), goal, Kitchen(raws)
 
 
-def _hash_calls(monkeypatch, search, foon, goal, kitchen):
-    calls = 0
-    original = ObjectNode.__hash__
-
-    def counting(self):
-        nonlocal calls
-        calls += 1
-        return original(self)
-
+def _counted(monkeypatch, cls, methods, call):
+    """``call()``'s result, and how often it called each of ``cls``'s ``methods``."""
+    calls = dict.fromkeys(methods, 0)
     with monkeypatch.context() as patch:
-        patch.setattr(ObjectNode, "__hash__", counting)
-        outcome = search(foon, goal, kitchen)
+        for method in methods:
+            def counting(*args, method=method, original=getattr(cls, method)):
+                calls[method] += 1
+                return original(*args)
+            patch.setattr(cls, method, counting)
+        result = call()
+    return result, list(calls.values())
+
+
+def _object_calls(monkeypatch, search, foon, goal, kitchen):
+    """[``ObjectNode.__hash__`` calls, ``ObjectNode.__eq__`` calls] of one search."""
+    outcome, calls = _counted(monkeypatch, ObjectNode, ("__hash__", "__eq__"),
+                              lambda: search(foon, goal, kitchen))
     assert outcome.ok
     return calls
 
 
+def _assert_linear(small, large):
+    # A doubled instance may cost at most 2.5x the hash and the __eq__ calls.
+    for before, after in zip(small, large):
+        assert after <= 2.5 * before, (small, large)
+
+
 def test_gbfs_inputs_hash_calls_linear_in_fan_width(monkeypatch):
-    narrow = _hash_calls(monkeypatch, search_gbfs_inputs, *_fan(150))
-    wide = _hash_calls(monkeypatch, search_gbfs_inputs, *_fan(300))
-    assert wide <= 2.5 * narrow, (narrow, wide)
+    _assert_linear(_object_calls(monkeypatch, search_gbfs_inputs, *_fan(150)),
+                   _object_calls(monkeypatch, search_gbfs_inputs, *_fan(300)))
 
 
 def test_gbfs_rate_hash_calls_linear_in_chain_length(monkeypatch):
-    short = _hash_calls(monkeypatch, search_gbfs_rate, *_chain(100)[:3])
-    long = _hash_calls(monkeypatch, search_gbfs_rate, *_chain(200)[:3])
-    assert long <= 2.5 * short, (short, long)
+    _assert_linear(_object_calls(monkeypatch, search_gbfs_rate, *_chain(100)[:3]),
+                   _object_calls(monkeypatch, search_gbfs_rate, *_chain(200)[:3]))
 
 
 def test_validation_hash_calls_linear_in_chain_length(monkeypatch):
@@ -135,6 +147,12 @@ def test_validation_hash_calls_linear_in_chain_length(monkeypatch):
         # A chain FOON's units, in insertion order, are its task tree.
         return validate_task_tree(TaskTree(foon.units, goal), kitchen, goal)
 
-    short = _hash_calls(monkeypatch, validate, *_chain(100)[:3])
-    long = _hash_calls(monkeypatch, validate, *_chain(200)[:3])
-    assert long <= 2.5 * short, (short, long)
+    _assert_linear(_object_calls(monkeypatch, validate, *_chain(100)[:3]),
+                   _object_calls(monkeypatch, validate, *_chain(200)[:3]))
+
+
+def test_merge_hashes_each_unit_once(monkeypatch, corpus_docs):
+    foon, [calls] = _counted(monkeypatch, FunctionalUnit, ("__hash__",),
+                             lambda: merge(corpus_docs))
+    assert calls == sum(len(doc.units) for doc in corpus_docs)
+    assert len(foon.units) < calls
