@@ -7,16 +7,11 @@ from .model import UniversalFOON
 def merge(subgraphs) -> UniversalFOON:
     """Union all functional units, dropping duplicates.
 
-    Documents are visited in order and units in file order, so the
-    earliest inserted of equal units is the first one encountered. The
-    result holds the documents' own unit objects, unmodified, and is
-    frozen.
+    Documents are visited in order and units in file order, and of equal
+    units the first one encountered is kept. The result holds the
+    documents' own unit objects, unmodified.
     """
-    foon = UniversalFOON()
-    for doc in subgraphs:
-        for unit in doc.units:
-            foon.insert(unit)
-    return foon.freeze()
+    return UniversalFOON(unit for doc in subgraphs for unit in doc.units)
 
 
 def merge_stats(subgraphs, result: UniversalFOON):

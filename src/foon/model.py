@@ -4,7 +4,8 @@ A FOON is a bipartite graph of object nodes and motion nodes. Its atomic
 element is the functional unit: input objects, one motion, output objects.
 Everything downstream (merging, retrieval) keys off the identity rules
 defined here: an ``ObjectNode`` and a ``FunctionalUnit`` are each their
-own identity, compared and hashed as their docstrings say.
+own identity, compared and hashed as their docstrings say. A
+``UniversalFOON`` is built once from its units and then only read.
 """
 from __future__ import annotations
 
@@ -127,47 +128,26 @@ class FunctionalUnit:
 
 
 class UniversalFOON:
-    """Deduplicated collection of functional units with a producing-unit index.
+    """Deduplicated functional units with a producing-unit index.
 
-    A unit's ordinal is its index in ``units``: the order of insertion.
-
-    Mutable only during construction; call :meth:`freeze` before sharing
-    with concurrent searches.
+    Of equal units, the first one given is kept, as in ``Kitchen``. A
+    unit's ordinal is its index in ``units``: the order given. The FOON is
+    built once, here, and only read afterwards.
     """
 
-    def __init__(self):
-        self.units: list[FunctionalUnit] = []
+    def __init__(self, units=()):
+        self.units: list[FunctionalUnit] = list(dict.fromkeys(units))
         self.producers: dict[ObjectNode, list[FunctionalUnit]] = {}
-        self._identities: set[FunctionalUnit] = set()
-        self._frozen = False
-
-    def insert(self, unit: FunctionalUnit) -> bool:
-        """Insert ``unit`` unless an equal unit already exists.
-
-        Returns True if inserted, False if duplicate.
-        """
-        if self._frozen:
-            raise RuntimeError("cannot insert into a frozen FOON")
-        # One hash per insert: the set grows unless an equal unit is held.
-        known = len(self._identities)
-        self._identities.add(unit)
-        if len(self._identities) == known:
-            return False
-        self.units.append(unit)
-        for out in unit.outputs:
-            self.producers.setdefault(out, []).append(unit)
-        return True
+        for unit in self.units:
+            for out in unit.outputs:
+                self.producers.setdefault(out, []).append(unit)
 
     def producing(self, goal: ObjectNode) -> list[FunctionalUnit]:
-        """Units having ``goal`` among their outputs, in insertion order.
+        """Units having ``goal`` among their outputs, in the order of ``units``.
 
         The list is the index itself; callers must not mutate it.
         """
         return self.producers.get(goal, [])
-
-    def freeze(self):
-        self._frozen = True
-        return self
 
     def __len__(self):
         return len(self.units)
@@ -207,6 +187,7 @@ class MotionRateTable:
         for label, rate in self.rates.items():
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"rate for {label!r} out of [0, 1]: {rate}")
+        self.rates = {_norm(label): rate for label, rate in self.rates.items()}
 
     def rate(self, label: str) -> float:
         return self.rates.get(_norm(label), DEFAULT_RATE)
@@ -218,9 +199,8 @@ class SearchStats:
 
     ``expansions`` counts candidate-unit considerations. For IDS it equals
     the sum of ``per_depth_expansions``. ``object_visits`` counts, per
-    object (keyed by its ``object_key``), how many times the search
-    expanded that object's candidate list (once per IDS iteration that
-    reaches it).
+    ``ObjectNode``, how many times the search expanded that object's
+    candidate list (once per IDS iteration that reaches it).
     """
 
     expansions: int = 0

@@ -101,7 +101,7 @@ def search_ids(
 
     For each depth bound d = 0..max_depth, run a depth-limited DFS:
     an object is solved if it is in the kitchen, otherwise each producing
-    unit is tried in insertion order, solving every input with budget
+    unit is tried in FOON order, solving every input with budget
     d - 1 (first success wins). Units are emitted post-order (dependencies
     first) and deduplicated. The set of in-progress objects on the DFS
     path is one mutable set per iteration, so cyclic knowledge cannot
@@ -192,7 +192,7 @@ def search_ids(
             break
     stats.max_stack_depth = deepest
     stats.expansions = sum(stats.per_depth_expansions)
-    stats.object_visits = {object_key(obj): count for obj, count in visits.items()}
+    stats.object_visits = visits
     if solved:
         # A unit shared by several subtrees is emitted once per subtree.
         unique = {id(unit): unit for unit in emitted}
@@ -265,8 +265,8 @@ def _search_greedy(foon, goal, kitchen, selection_key) -> SearchOutcome:
         if not candidates:
             blocked.add(node)
             continue
-        # Candidates are in insertion order and min keeps the first of
-        # equal keys, so ties go to the earliest inserted unit.
+        # Candidates are in FOON order and min keeps the first of equal
+        # keys, so ties go to the earliest unit.
         best = min(candidates, key=selection_key)
         selected.setdefault(id(best), best)
         for inp in best.inputs:
@@ -275,7 +275,7 @@ def _search_greedy(foon, goal, kitchen, selection_key) -> SearchOutcome:
                 queue.append(inp)
 
     stats.per_depth_expansions = [stats.expansions]
-    stats.object_visits = {object_key(obj): count for obj, count in visits.items()}
+    stats.object_visits = visits
     if blocked:
         reason = (FailureReason.GOAL_UNREACHABLE if goal in blocked
                   else FailureReason.UNSATISFIED_LEAVES)
@@ -298,7 +298,7 @@ def search_gbfs_rate(
     rates: MotionRateTable | None = None,
 ) -> SearchOutcome:
     """Greedy best-first retrieval choosing the candidate with the highest
-    motion success rate (ties to the earliest inserted)."""
+    motion success rate (ties to the earliest unit)."""
     table = rates if rates is not None else MotionRateTable()
     return _search_greedy(foon, goal, kitchen, lambda unit: -table.rate(unit.motion.label))
 
@@ -309,5 +309,5 @@ def search_gbfs_inputs(
     kitchen: Kitchen,
 ) -> SearchOutcome:
     """Greedy best-first retrieval choosing the candidate with the fewest
-    input nodes (ties to the earliest inserted)."""
+    input nodes (ties to the earliest unit)."""
     return _search_greedy(foon, goal, kitchen, lambda unit: len(unit.inputs))

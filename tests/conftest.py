@@ -25,10 +25,7 @@ def unit(inputs, motion, outputs, **motion_kwargs):
 
 
 def build_foon(*units):
-    foon = UniversalFOON()
-    for u in units:
-        foon.insert(u)
-    return foon.freeze()
+    return UniversalFOON(units)
 
 
 @pytest.fixture(scope="session")

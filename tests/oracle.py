@@ -123,7 +123,7 @@ class GeneratorConfig:
 
 
 def generate_instance(cfg: GeneratorConfig):
-    """Random (frozen FOON, goal, kitchen) instance.
+    """Random (FOON, goal, kitchen) instance.
 
     The goal is always the output of some unit. When max_branching > 1 and
     at least two units fit, some object gets multiple producers. Kitchen
@@ -137,7 +137,7 @@ def generate_instance(cfg: GeneratorConfig):
 
     base = [ObjectNode(f"base{i}", frozenset({"raw"}))
             for i in range(max(2, cfg.max_inputs_per_unit))]
-    foon = UniversalFOON()
+    units: dict[FunctionalUnit, None] = {}
     pool = list(base)
     produced: list[ObjectNode] = []
     producer_count: dict[ObjectNode, int] = {}
@@ -149,8 +149,9 @@ def generate_instance(cfg: GeneratorConfig):
         k_in = rng.randint(1, min(cfg.max_inputs_per_unit, len(choices)))
         inputs = rng.sample(choices, k_in)
         unit = FunctionalUnit(inputs, MotionNode(rng.choice(_MOTION_LABELS)), [output])
-        if not foon.insert(unit):
+        if unit in units:
             return False
+        units[unit] = None
         if producer_count.get(output, 0) == 0:
             produced.append(output)
             pool.append(output)
@@ -159,7 +160,7 @@ def generate_instance(cfg: GeneratorConfig):
 
     target = n_units - 1 if want_branching else n_units
     attempts = 0
-    while len(foon.units) < target and attempts < 50 * n_units:
+    while len(units) < target and attempts < 50 * n_units:
         attempts += 1
         reusable = [obj for obj in produced
                     if producer_count[obj] < cfg.max_branching]
@@ -185,5 +186,4 @@ def generate_instance(cfg: GeneratorConfig):
 
     goal = rng.choice(produced)
     kitchen = Kitchen(obj for obj in base if rng.random() < cfg.kitchen_fraction)
-    foon.freeze()
-    return foon, goal, kitchen
+    return UniversalFOON(units), goal, kitchen

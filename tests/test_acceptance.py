@@ -28,7 +28,7 @@ from foon import (
 )
 from foon.cli import main as cli_main
 
-from conftest import CORPUS_DIR, FIXTURES
+from conftest import CORPUS_DIR, FIXTURES, obj
 from oracle import GeneratorConfig, generate_instance, oracle_search
 
 ICE = FIXTURES / "ice"
@@ -203,7 +203,7 @@ def test_criterion_7_ids_accounting(chain):
     assert stats.expansions == sum(stats.per_depth_expansions)
     # chain depth D = 3: found at depth 3, root expanded exactly D + 1 times
     assert stats.depth_limit_reached == 3
-    assert stats.object_visits["goal|done|"] == 4
+    assert stats.object_visits[obj("goal", "done")] == 4
     # shallower levels are re-expanded every iteration
     assert stats.per_depth_expansions == [0, 1, 2, 3]
 

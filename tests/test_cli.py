@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -224,11 +227,14 @@ def test_dot_parse_error_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["merge", "search", "bench", "dot"])
-def test_commands_are_deterministic(tmp_path, capsys, command):
+def test_commands_are_deterministic(tmp_path, command):
+    """Two ``python -m foon.cli`` processes under different string-hash
+    seeds write the same bytes, so no output follows a set's or dict's
+    hash order."""
     paths = sorted(CORPUS_DIR.glob("*.txt"))
     outputs = []
-    for attempt in range(2):
-        out = tmp_path / f"{command}-{attempt}.out"
+    for seed in ("1", "2"):
+        out = tmp_path / f"{command}-{seed}.out"
         if command == "merge":
             argv = ["merge", *paths, "--out", out]
         elif command == "search":
@@ -239,10 +245,14 @@ def test_commands_are_deterministic(tmp_path, capsys, command):
                     "--goals", ICE / "goals.txt", "--rates", ICE / "rates.txt", "--out", out]
         else:
             argv = ["dot", "--foon", ICE / "foon.txt", "--out", out]
-        code, _, _ = run(capsys, *argv)
-        assert code == 0
-        text = out.read_text()
-        outputs.append(strip_timing(text) if command == "bench" else text)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-m", "foon.cli", *map(str, argv)],
+                              env=env, capture_output=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        written, printed = out.read_bytes(), done.stdout
+        if command == "bench":
+            written, printed = strip_timing(written.decode()), strip_timing(printed.decode())
+        outputs.append((written, printed))
     assert outputs[0] == outputs[1]
 
 

@@ -12,6 +12,7 @@ from foon import (
     FunctionalUnit,
     Kitchen,
     MotionNode,
+    MotionRateTable,
     ObjectNode,
     SubgraphDocument,
     UniversalFOON,
@@ -164,20 +165,15 @@ def test_unit_requires_inputs_and_outputs():
         FunctionalUnit([obj("cup")], MotionNode("pour"), [])
 
 
-def test_insert_dedup_and_idempotence():
-    foon = UniversalFOON()
+def test_constructor_keeps_first_of_equal_units_in_order():
     u = unit([obj("water", "liquid")], "freeze", [obj("ice", "solid")])
+    other = unit([obj("ice", "solid")], "crush", [obj("ice", "crushed")])
     dup = unit([obj("water", "liquid")], "freeze", [obj("ice", "solid")], start_time="9:99")
-    assert foon.insert(u) is True
-    assert len(foon) == 1
-    assert foon.insert(dup) is False
-    assert len(foon) == 1
-
-
-def test_insert_rejected_after_freeze():
-    foon = build_foon(unit([obj("a", "x")], "mix", [obj("b", "y")]))
-    with pytest.raises(RuntimeError):
-        foon.insert(unit([obj("c", "x")], "mix", [obj("d", "y")]))
+    foon = UniversalFOON([u, other, dup, other])
+    assert len(foon) == 2
+    assert foon.units[0] is u and foon.units[1] is other
+    assert foon.producing(obj("ice", "solid"))[0] is u
+    assert len(UniversalFOON()) == 0
 
 
 def test_producers_insertion_order():
@@ -207,12 +203,11 @@ def test_producers_index_matches_rebuild(seed):
     import random
 
     rng = random.Random(seed)
-    foon = UniversalFOON()
     pool = [obj(f"o{i}", "s") for i in range(6)]
-    for _ in range(rng.randint(1, 10)):
-        ins = rng.sample(pool, rng.randint(1, 2))
-        outs = rng.sample(pool, rng.randint(1, 2))
-        foon.insert(unit(ins, rng.choice(["mix", "pour"]), outs))
+    foon = UniversalFOON(
+        unit(rng.sample(pool, rng.randint(1, 2)), rng.choice(["mix", "pour"]),
+             rng.sample(pool, rng.randint(1, 2)))
+        for _ in range(rng.randint(1, 10)))
     positions = _positions(foon)
     maintained = {k: [positions[id(u)] for u in v] for k, v in foon.producers.items()}
     assert maintained == _rebuild_producers(foon)
@@ -231,10 +226,16 @@ def test_kitchen_keeps_first_instance_and_ignores_motion_tag():
     assert obj("cup", "full", tag="1") not in kitchen
 
 
+def test_rate_table_normalizes_its_labels():
+    table = MotionRateTable({" Pour ": 0.5})
+    assert table.rate("pour") == table.rate("POUR") == 0.5
+    assert table.rate("mix") == 1.0
+
+
 def test_lookups_use_the_object_not_its_key(monkeypatch, corpus_paths):
     """Merge, kitchen membership, search and validation look objects up by
-    ``ObjectNode`` equality; only the searches' visit counts are keyed by
-    ``object_key``, built once per distinct object when a search ends."""
+    ``ObjectNode`` equality, and the searches' visit counts are keyed by
+    the object too: a successful run builds no ``object_key``."""
 
     def refuse(o):
         raise AssertionError(f"object_key built for a lookup of {o!r}")
@@ -248,20 +249,11 @@ def test_lookups_use_the_object_not_its_key(monkeypatch, corpus_paths):
     assert obj("tea bag", "dry") in kitchen
     assert goal not in kitchen
 
-    keyed = []
-
-    def count(o):
-        keyed.append(o)
-        return object_key(o)
-
-    monkeypatch.setattr("foon.retrieval.object_key", count)
     outcomes = [search_gbfs_rate(foon, goal, kitchen), search_gbfs_inputs(foon, goal, kitchen),
                 search_ids(foon, goal, kitchen)]
     assert all(outcome.ok for outcome in outcomes)
-    assert len(keyed) == sum(len(o.tree.stats.object_visits) for o in outcomes)
-
-    monkeypatch.setattr("foon.retrieval.object_key", refuse)
     for outcome in outcomes:
+        assert all(isinstance(o, ObjectNode) for o in outcome.tree.stats.object_visits)
         assert validate_task_tree(outcome.tree, kitchen, goal)
 
 

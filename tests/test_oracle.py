@@ -1,8 +1,15 @@
+import hashlib
 import itertools
 
 import pytest
 
-from foon import Kitchen, object_key, validate_task_tree
+from foon import (
+    Kitchen,
+    SubgraphDocument,
+    object_key,
+    serialize_subgraph,
+    validate_task_tree,
+)
 
 from conftest import build_foon, obj, unit
 from oracle import (
@@ -140,3 +147,25 @@ def test_generator_solvable_fraction_near_frozen_target():
         if oracle_search(foon, goal, kitchen) is not None:
             solvable += 1
     assert abs(solvable / total - target) <= 0.10
+
+
+def _instance_text(cfg):
+    foon, goal, kitchen = generate_instance(cfg)
+    return "\n".join([serialize_subgraph(SubgraphDocument(list(foon.units))),
+                      object_key(goal), *map(object_key, kitchen.items), ""])
+
+
+# SHA-256 of every instance below, computed while the generator still
+# inserted units one by one; any change to a seed's instance changes it.
+_INSTANCES_DIGEST = "ab01e24c80e4fa119de69a1bc8b652528b2b86c701359a3e5a0ec6d36abe0af4"
+
+
+def test_generator_instances_are_pinned():
+    digest = hashlib.sha256()
+    for max_units, kitchen_fraction in [(1, 1.0), (8, 0.8), (40, 0.5), (40, 0.8), (200, 0.6)]:
+        for max_branching in (1, 3):
+            for seed in range(20):
+                cfg = GeneratorConfig(max_units=max_units, max_branching=max_branching,
+                                      kitchen_fraction=kitchen_fraction, seed=seed)
+                digest.update(_instance_text(cfg).encode("utf-8"))
+    assert digest.hexdigest() == _INSTANCES_DIGEST

@@ -63,7 +63,7 @@ def test_ids_expansion_accounting(chain):
     assert stats.expansions == sum(stats.per_depth_expansions)
     assert stats.per_depth_expansions == sorted(stats.per_depth_expansions)
     # chain depth D = 3: the root object is expanded once per iteration 0..3
-    assert stats.object_visits["goal|done|"] == 4
+    assert stats.object_visits[obj("goal", "done")] == 4
 
 
 def test_ids_cycle_guard_terminates():

@@ -18,6 +18,7 @@ from foon import (
     ObjectNode,
     TaskTree,
     merge,
+    object_key,
     search_gbfs_inputs,
     search_gbfs_rate,
     search_ids,
@@ -32,8 +33,12 @@ from oracle import GeneratorConfig, generate_instance
 def _summary(outcome):
     found = outcome.tree or outcome.failure
     stats = found.stats
+    # The reference keys its visit counts by ``object_key``, the package by
+    # the object itself.
+    visits = {object_key(o) if isinstance(o, ObjectNode) else o: count
+              for o, count in stats.object_visits.items()}
     counts = (stats.expansions, stats.per_depth_expansions, stats.max_stack_depth,
-              stats.depth_limit_reached, stats.object_visits)
+              stats.depth_limit_reached, visits)
     if outcome.ok:
         return "tree", [id(u) for u in outcome.tree.units], outcome.tree.goal, counts
     return "failure", outcome.failure.reason, outcome.failure.blocked_objects, counts
