@@ -15,6 +15,7 @@ from .parser import (
     ParseError,
     SubgraphDocument,
     parse_goal,
+    parse_goals,
     parse_kitchen,
     parse_rates,
     parse_subgraph,
@@ -47,6 +48,7 @@ __all__ = [
     "merge_stats",
     "object_key",
     "parse_goal",
+    "parse_goals",
     "parse_kitchen",
     "parse_rates",
     "parse_subgraph",

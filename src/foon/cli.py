@@ -13,6 +13,7 @@ from .parser import (
     ParseError,
     SubgraphDocument,
     parse_goal,
+    parse_goals,
     parse_kitchen,
     parse_rates,
     parse_subgraph,
@@ -30,6 +31,18 @@ EXIT_INPUT_ERROR = 1
 EXIT_NO_SOLUTION = 2
 
 BENCH_HEADER = "goal\tids\th1\th2\tids_ms\th1_ms\th2_ms\tids_exp\th1_exp\th2_exp"
+
+# The algorithms, in the order of ``BENCH_HEADER``'s columns. Each entry
+# looks its search up among this module's globals at call time, so a
+# wrapper swapped in for one of them sees every call.
+ALGORITHMS = {
+    "ids": lambda foon, goal, kitchen, rates, max_depth:
+        search_ids(foon, goal, kitchen, max_depth=max_depth),
+    "gbfs-rate": lambda foon, goal, kitchen, rates, max_depth:
+        search_gbfs_rate(foon, goal, kitchen, rates),
+    "gbfs-inputs": lambda foon, goal, kitchen, rates, max_depth:
+        search_gbfs_inputs(foon, goal, kitchen),
+}
 
 
 class _InputError(Exception):
@@ -56,7 +69,7 @@ def _parse_file(path, parse_fn):
     try:
         return parse_fn(_read(path))
     except ParseError as exc:
-        raise _InputError(f"{path}:{exc.line_number or '?'}: {exc}")
+        raise _InputError(f"{path}:{exc.line_number}: {exc}")
 
 
 def _load_foon(path):
@@ -74,16 +87,6 @@ def _load_rates(path):
     if path is None:
         return MotionRateTable()
     return _parse_file(path, parse_rates)
-
-
-def _run_algo(algo, foon, goal, kitchen, rates, max_depth):
-    if algo == "ids":
-        return search_ids(foon, goal, kitchen, max_depth=max_depth)
-    if algo == "gbfs-rate":
-        return search_gbfs_rate(foon, goal, kitchen, rates)
-    if algo == "gbfs-inputs":
-        return search_gbfs_inputs(foon, goal, kitchen)
-    raise _InputError(f"unknown algorithm: {algo}")
 
 
 def cmd_merge(args) -> int:
@@ -105,7 +108,7 @@ def cmd_search(args) -> int:
         goal = parse_goal(args.goal)
     except ParseError as exc:
         raise _InputError(f"goal: {exc}")
-    outcome = _run_algo(args.algo, foon, goal, kitchen, rates, args.max_depth)
+    outcome = ALGORITHMS[args.algo](foon, goal, kitchen, rates, args.max_depth)
     if not outcome.ok:
         failure = outcome.failure
         blocked = ", ".join(object_key(obj) for obj in failure.blocked_objects)
@@ -121,13 +124,12 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
-def _bench_goal(spec, foon, kitchen, rates, max_depth):
-    goal = parse_goal(spec)
+def _bench_goal(spec, goal, foon, kitchen, rates, max_depth):
     sizes, times, expansions = [], [], []
     any_success = False
-    for algo in ("ids", "gbfs-rate", "gbfs-inputs"):
+    for search in ALGORITHMS.values():
         started = time.perf_counter()
-        outcome = _run_algo(algo, foon, goal, kitchen, rates, max_depth)
+        outcome = search(foon, goal, kitchen, rates, max_depth)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         times.append(f"{elapsed_ms:.3f}")
         stats = outcome.tree.stats if outcome.ok else outcome.failure.stats
@@ -141,23 +143,17 @@ def cmd_bench(args) -> int:
     foon = _load_foon(args.foon)
     kitchen = _load_kitchen(args.kitchen)
     rates = _load_rates(args.rates)
-    goal_specs = [
-        line.strip() for line in _read(args.goals).splitlines()
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
+    goals = _parse_file(args.goals, parse_goals)
     rows = [BENCH_HEADER]
     successes = 0
-    for spec in goal_specs:
-        try:
-            row, ok = _bench_goal(spec, foon, kitchen, rates, args.max_depth)
-        except ParseError as exc:
-            raise _InputError(f"goal {spec!r}: {exc}")
+    for spec, goal in goals:
+        row, ok = _bench_goal(spec, goal, foon, kitchen, rates, args.max_depth)
         rows.append(row)
         successes += ok
     _write(args.out, "\n".join(rows) + "\n")
     for row in rows:
         print(row)
-    if goal_specs and not successes:
+    if goals and not successes:
         return EXIT_NO_SOLUTION
     return EXIT_OK
 
@@ -186,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="goal spec: name[;states[;ingredients]]")
     p_search.add_argument("--kitchen", help="kitchen file (default: empty kitchen)")
     p_search.add_argument("--algo", default="ids",
-                          choices=["ids", "gbfs-rate", "gbfs-inputs"])
+                          choices=ALGORITHMS)
     p_search.add_argument("--rates", help="motion success-rate file")
     p_search.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
     p_search.add_argument("--out", required=True, help="output path for the task tree")

@@ -1,4 +1,4 @@
-"""Text formats: subgraph files, kitchen files, motion-rate files, goal specs.
+"""Text formats: subgraph files, kitchen files, motion-rate files, goal specs and files.
 
 Subgraph grammar (tab-separated):
 
@@ -8,7 +8,8 @@ Subgraph grammar (tab-separated):
     //                            ends a functional unit
 
 Object blocks before the M line are the unit's inputs, blocks after it are
-the outputs. Blank lines and lines starting with '#' are ignored.
+the outputs. In every file format, blank lines and lines starting with
+'#' are ignored. Every format error is a ParseError.
 Serialization is canonical (sorted states/ingredients, final newline) so
 identical documents emit identical bytes.
 """
@@ -21,57 +22,12 @@ from .model import FunctionalUnit, Kitchen, MotionNode, MotionRateTable, ObjectN
 
 
 class ParseError(Exception):
-    """Base for all file-format errors; carries the 1-based offending line."""
+    """A file-format error: its message and the 1-based offending line,
+    which is None for a goal spec read on its own."""
 
     def __init__(self, message, line_number=None):
-        self.line_number = line_number
-        if line_number is not None:
-            message = f"line {line_number}: {message}"
         super().__init__(message)
-
-
-class MalformedLine(ParseError):
-    pass
-
-
-class UnitWithoutMotion(ParseError):
-    pass
-
-
-class MultipleMotions(ParseError):
-    pass
-
-
-class ObjectWithoutName(ParseError):
-    pass
-
-
-class StateBeforeObject(ParseError):
-    pass
-
-
-class DanglingUnit(ParseError):
-    pass
-
-
-class IncompleteUnit(ParseError):
-    """A unit terminated by // lacks inputs or outputs."""
-
-
-class MotionInKitchenFile(ParseError):
-    pass
-
-
-class RateOutOfRange(ParseError):
-    pass
-
-
-class MalformedRateLine(ParseError):
-    pass
-
-
-class EmptyGoalName(ParseError):
-    pass
+        self.line_number = line_number
 
 
 @dataclass
@@ -84,7 +40,7 @@ class SubgraphDocument:
 def _parse_ingredients(text, line_number):
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
-        raise MalformedLine(f"expected {{...}} ingredient list, got {text!r}", line_number)
+        raise ParseError(f"expected {{...}} ingredient list, got {text!r}", line_number)
     return {part for part in text[1:-1].split(",") if part.strip()}
 
 
@@ -113,7 +69,7 @@ def _read_blocks(text, unit_end_closes_block=True):
         tag = fields[0].strip()
         if tag == "S":
             if name is None:
-                raise StateBeforeObject("S line before any O line", number)
+                raise ParseError("S line before any O line", number)
             states.append(fields[1] if len(fields) > 1 else "")
             if len(fields) > 2 and fields[2].strip():
                 ingredients.update(_parse_ingredients(fields[2], number))
@@ -124,7 +80,7 @@ def _read_blocks(text, unit_end_closes_block=True):
         if tag != "O":
             yield number, tag, fields
         elif len(fields) < 2 or not fields[1].strip():
-            raise ObjectWithoutName("O line has no object name", number)
+            raise ParseError("O line has no object name", number)
         else:
             name, states, ingredients = fields[1], [], set()
             flag = fields[2].strip() if len(fields) > 2 else ""
@@ -151,24 +107,24 @@ def parse_subgraph(text: str) -> SubgraphDocument:
             (outputs if motion is not None else inputs).append(item)
         elif tag == "M":
             if motion is not None:
-                raise MultipleMotions("second M line in one unit", number)
+                raise ParseError("second M line in one unit", number)
             if len(item) < 2 or not item[1].strip():
-                raise MalformedLine("M line has no motion label", number)
+                raise ParseError("M line has no motion label", number)
             start = item[2].strip() if len(item) > 2 and item[2].strip() else None
             end = item[3].strip() if len(item) > 3 and item[3].strip() else None
             motion = MotionNode(item[1], start_time=start, end_time=end)
         elif tag == "//":
             if motion is None:
-                raise UnitWithoutMotion("unit ended by // has no M line", number)
+                raise ParseError("unit ended by // has no M line", number)
             if not inputs or not outputs:
-                raise IncompleteUnit("unit needs at least one input and one output", number)
+                raise ParseError("unit needs at least one input and one output", number)
             units.append(FunctionalUnit(inputs, motion, outputs))
             inputs, outputs, motion = [], [], None
         else:
-            raise MalformedLine(f"unknown leading tag {tag!r}", number)
+            raise ParseError(f"unknown leading tag {tag!r}", number)
 
     if inputs or outputs or motion is not None:
-        raise DanglingUnit("unterminated unit at end of file", number)
+        raise ParseError("unterminated unit at end of file", number)
     return SubgraphDocument(units=units)
 
 
@@ -245,9 +201,9 @@ def parse_kitchen(text: str) -> Kitchen:
         if tag == "O":
             items.append(item)
         elif tag == "M":
-            raise MotionInKitchenFile("M line in kitchen file", number)
+            raise ParseError("M line in kitchen file", number)
         elif tag != "//":
-            raise MalformedLine(f"unknown leading tag {tag!r}", number)
+            raise ParseError(f"unknown leading tag {tag!r}", number)
     return Kitchen(items)
 
 
@@ -256,14 +212,14 @@ def parse_rates(text: str) -> MotionRateTable:
     rates = {}
     for number, fields in _iter_records(text):
         if len(fields) != 2:
-            raise MalformedRateLine(f"expected label<TAB>rate, got {fields!r}", number)
+            raise ParseError(f"expected label<TAB>rate, got {fields!r}", number)
         label = fields[0].strip().lower()
         try:
             rate = float(fields[1])
         except ValueError:
-            raise MalformedRateLine(f"rate is not a number: {fields[1]!r}", number)
+            raise ParseError(f"rate is not a number: {fields[1]!r}", number)
         if not 0.0 <= rate <= 1.0:
-            raise RateOutOfRange(f"rate for {label!r} out of [0, 1]: {rate}", number)
+            raise ParseError(f"rate for {label!r} out of [0, 1]: {rate}", number)
         rates[label] = rate
     return MotionRateTable(rates=rates)
 
@@ -277,7 +233,7 @@ def parse_goal(spec: str) -> ObjectNode:
     parts = spec.split(";")
     name = parts[0].strip()
     if not name:
-        raise EmptyGoalName("goal spec has an empty name")
+        raise ParseError("goal spec has an empty name")
     states = set()
     ingredients = set()
     if len(parts) > 1:
@@ -285,3 +241,17 @@ def parse_goal(spec: str) -> ObjectNode:
     if len(parts) > 2:
         ingredients = {i for i in parts[2].split(",") if i.strip()}
     return ObjectNode(name=name, states=states, ingredients=ingredients)
+
+
+def parse_goals(text: str) -> list:
+    """Parse a goals file, one goal spec per significant line, into
+    ``(spec, ObjectNode)`` pairs; each spec is its line, trimmed."""
+    goals = []
+    for number, fields in _iter_records(text):
+        spec = "\t".join(fields).strip()
+        try:
+            goals.append((spec, parse_goal(spec)))
+        except ParseError as exc:
+            exc.line_number = number
+            raise
+    return goals

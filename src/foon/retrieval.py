@@ -244,10 +244,6 @@ def _dependency_sort(selected, kitchen):
 
 def _search_greedy(foon, goal, kitchen, selection_key) -> SearchOutcome:
     stats = SearchStats()
-    if goal in kitchen:
-        stats.per_depth_expansions = [0]
-        return SearchOutcome(tree=TaskTree([], goal, stats))
-
     queue = deque([goal])
     visited = {goal}
     # Chosen units, once each, in discovery order. One unit can be chosen
@@ -261,7 +257,8 @@ def _search_greedy(foon, goal, kitchen, selection_key) -> SearchOutcome:
             continue
         candidates = foon.producing(node)
         stats.expansions += len(candidates)
-        visits[node] = visits.get(node, 0) + 1
+        # ``visited`` queues each object once.
+        visits[node] = 1
         if not candidates:
             blocked.add(node)
             continue

@@ -12,17 +12,12 @@ them to follow the library; they are the reference.
 from __future__ import annotations
 
 from foon.model import FunctionalUnit, Kitchen, MotionNode, ObjectNode
-from foon.parser import (
-    DanglingUnit,
-    IncompleteUnit,
-    MalformedLine,
-    MotionInKitchenFile,
-    MultipleMotions,
-    ObjectWithoutName,
-    StateBeforeObject,
-    SubgraphDocument,
-    UnitWithoutMotion,
-)
+from foon.parser import ParseError, SubgraphDocument
+
+# The library raises one exception class; the frozen bodies below keep the
+# names it once had a subclass for.
+DanglingUnit = IncompleteUnit = MalformedLine = MotionInKitchenFile = ParseError
+MultipleMotions = ObjectWithoutName = StateBeforeObject = UnitWithoutMotion = ParseError
 
 
 class _ObjectBlock:

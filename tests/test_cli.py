@@ -173,6 +173,18 @@ def test_bench_no_goal_succeeds_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_bench_bad_goal_line_exits_1_naming_the_line(tmp_path, capsys):
+    goals = tmp_path / "goals.txt"
+    goals.write_text("ice;solid\n# a comment\n\n;bad\n")
+    out = tmp_path / "bench.tsv"
+    code, stdout, stderr = run(
+        capsys, "bench", "--foon", ICE / "foon.txt", "--kitchen", ICE / "kitchen.txt",
+        "--goals", goals, "--out", out)
+    assert (code, stdout) == (1, "")
+    assert stderr == f"error: {goals}:4: goal spec has an empty name\n"
+    assert not out.exists()
+
+
 def test_dot_empty_tree(tmp_path, capsys):
     empty = tmp_path / "empty.txt"
     empty.write_text("")
@@ -267,6 +279,15 @@ def _argv(command, foon, out):
         return ["bench", "--foon", foon, "--kitchen", ICE / "kitchen.txt",
                 "--goals", ICE / "goals.txt", "--out", out]
     return ["dot", "--foon", foon, "--out", out]
+
+
+@pytest.mark.parametrize("command", ["merge", "search", "bench", "dot"])
+def test_malformed_foon_prints_path_line_and_message_once(tmp_path, capsys, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("O\twater\nM\tfreeze\nM\tmelt\nO\tice\n//\n")
+    code, stdout, stderr = run(capsys, *_argv(command, bad, tmp_path / "out.txt"))
+    assert (code, stdout) == (1, "")
+    assert stderr == f"error: {bad}:3: second M line in one unit\n"
 
 
 @pytest.mark.parametrize("command", ["merge", "search", "bench", "dot"])

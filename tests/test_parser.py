@@ -6,25 +6,14 @@ from foon import (
     FunctionalUnit,
     MotionNode,
     ObjectNode,
+    ParseError,
     SubgraphDocument,
     parse_goal,
+    parse_goals,
     parse_kitchen,
     parse_rates,
     parse_subgraph,
     serialize_subgraph,
-)
-from foon.parser import (
-    DanglingUnit,
-    EmptyGoalName,
-    IncompleteUnit,
-    MalformedLine,
-    MalformedRateLine,
-    MotionInKitchenFile,
-    MultipleMotions,
-    ObjectWithoutName,
-    RateOutOfRange,
-    StateBeforeObject,
-    UnitWithoutMotion,
 )
 
 FREEZE_UNIT = "O\twater\t1\nS\tliquid\nM\tfreeze\t0:05\t0:10\nO\tice\t0\nS\tsolid\n//\n"
@@ -73,26 +62,39 @@ def test_comments_and_blank_lines_ignored():
     assert len(parse_subgraph(text).units) == 1
 
 
+def _fault(text, kind, line, message):
+    # The id names the kind of fault, as text-kind-line.
+    return pytest.param(text, line, message, id=f"{text}-{kind}-{line}")
+
+
 @pytest.mark.parametrize(
-    "text,exc,line",
+    "text,line,message",
     [
-        ("X\tfoo\n", MalformedLine, 1),
-        ("O\twater\nS\tliquid\nM\tfreeze\nO\tice\n///\n", MalformedLine, 5),
-        ("O\twater\nM\tfreeze\nO\tice\nS\tsolid\t[a]\n//\n", MalformedLine, 4),
-        ("O\n", ObjectWithoutName, 1),
-        ("S\tliquid\n", StateBeforeObject, 1),
-        ("O\twater\nS\tliquid\nO\tice\n//\n", UnitWithoutMotion, 4),
-        ("O\twater\nM\tfreeze\nM\tmelt\nO\tice\n//\n", MultipleMotions, 3),
-        ("O\twater\nS\tliquid\nM\tfreeze\nO\tice\n", DanglingUnit, 4),
-        ("# only a comment\nO\twater\n", DanglingUnit, 2),
-        ("O\twater\nM\tfreeze\n//\n", IncompleteUnit, 3),
-        ("M\t\n", MalformedLine, 1),
+        _fault("X\tfoo\n", "MalformedLine", 1, "unknown leading tag 'X'"),
+        _fault("O\twater\nS\tliquid\nM\tfreeze\nO\tice\n///\n", "MalformedLine", 5,
+               "unknown leading tag '///'"),
+        _fault("O\twater\nM\tfreeze\nO\tice\nS\tsolid\t[a]\n//\n", "MalformedLine", 4,
+               "expected {...} ingredient list, got '[a]'"),
+        _fault("O\n", "ObjectWithoutName", 1, "O line has no object name"),
+        _fault("S\tliquid\n", "StateBeforeObject", 1, "S line before any O line"),
+        _fault("O\twater\nS\tliquid\nO\tice\n//\n", "UnitWithoutMotion", 4,
+               "unit ended by // has no M line"),
+        _fault("O\twater\nM\tfreeze\nM\tmelt\nO\tice\n//\n", "MultipleMotions", 3,
+               "second M line in one unit"),
+        _fault("O\twater\nS\tliquid\nM\tfreeze\nO\tice\n", "DanglingUnit", 4,
+               "unterminated unit at end of file"),
+        _fault("# only a comment\nO\twater\n", "DanglingUnit", 2,
+               "unterminated unit at end of file"),
+        _fault("O\twater\nM\tfreeze\n//\n", "IncompleteUnit", 3,
+               "unit needs at least one input and one output"),
+        _fault("M\t\n", "MalformedLine", 1, "M line has no motion label"),
     ],
 )
-def test_parse_errors_carry_line_numbers(text, exc, line):
-    with pytest.raises(exc) as err:
+def test_parse_errors_carry_line_numbers(text, line, message):
+    with pytest.raises(ParseError) as err:
         parse_subgraph(text)
-    assert err.value.line_number == line
+    assert type(err.value) is ParseError
+    assert (err.value.line_number, str(err.value)) == (line, message)
 
 
 def test_serialize_empty_document():
@@ -156,9 +158,9 @@ def test_identical_blocks_share_one_instance():
 
 
 def test_parse_kitchen_rejects_motion():
-    with pytest.raises(MotionInKitchenFile) as err:
+    with pytest.raises(ParseError) as err:
         parse_kitchen("O\twater\nS\tliquid\nM\tpour\n")
-    assert err.value.line_number == 3
+    assert (err.value.line_number, str(err.value)) == (3, "M line in kitchen file")
 
 
 def test_parse_rates():
@@ -175,14 +177,14 @@ def test_parse_rates_empty():
 
 
 def test_parse_rates_out_of_range():
-    with pytest.raises(RateOutOfRange):
+    with pytest.raises(ParseError, match=r"^rate for 'slice' out of \[0, 1\]: 1.5$"):
         parse_rates("slice\t1.5\n")
 
 
 def test_parse_rates_malformed():
-    with pytest.raises(MalformedRateLine):
+    with pytest.raises(ParseError, match=r"^expected label<TAB>rate, got \['slice'\]$"):
         parse_rates("slice\n")
-    with pytest.raises(MalformedRateLine):
+    with pytest.raises(ParseError, match="^rate is not a number: 'fast'$"):
         parse_rates("slice\tfast\n")
 
 
@@ -201,8 +203,22 @@ def test_parse_goal_empty_state_marker():
 
 
 def test_parse_goal_empty_name():
-    with pytest.raises(EmptyGoalName):
+    with pytest.raises(ParseError) as err:
         parse_goal(";mixed")
+    assert (err.value.line_number, str(err.value)) == (None, "goal spec has an empty name")
+
+
+def test_parse_goals_skips_blank_and_comment_lines():
+    goals = parse_goals("# goals\n\n  ice;solid  \n  # not a goal\nspoon;\\e\n")
+    assert goals == [("ice;solid", parse_goal("ice;solid")),
+                     ("spoon;\\e", parse_goal("spoon;\\e"))]
+    assert parse_goals("") == []
+
+
+def test_parse_goals_error_carries_line_number():
+    with pytest.raises(ParseError) as err:
+        parse_goals("ice\n# comment\n\n;bad\n")
+    assert (err.value.line_number, str(err.value)) == (4, "goal spec has an empty name")
 
 
 def _api_unit(name="bowl", states=("full",), ingredients=(), tag="", label="mix"):

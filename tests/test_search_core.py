@@ -87,6 +87,15 @@ def test_searches_match_reference_on_fixture_corpus(corpus_foon, withheld_every)
         _assert_same_as_reference(corpus_foon, goal, kitchen, rates, max_depth=50)
 
 
+def test_searches_match_reference_when_goal_is_in_kitchen(chain):
+    foon, goal, _, _ = chain
+    kitchen = Kitchen([goal])
+    _assert_same_as_reference(foon, goal, kitchen, _rates(foon), max_depth=5)
+    outcome = search_gbfs_inputs(foon, goal, kitchen)
+    assert outcome.tree.units == []
+    assert (outcome.tree.stats.per_depth_expansions, outcome.tree.stats.object_visits) == ([0], {})
+
+
 def _chain(length):
     links = [obj("link0", "raw")] + [obj(f"link{i}", "made") for i in range(1, length + 1)]
     units = [unit([links[i]], "stir", [links[i + 1]]) for i in range(length)]
