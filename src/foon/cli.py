@@ -72,15 +72,18 @@ def _parse_file(path, parse_fn):
         raise _InputError(f"{path}:{exc.line_number}: {exc}")
 
 
-def _load_foon(path):
-    doc = _parse_file(path, parse_subgraph)
-    return merge([doc])
+# Each command reads its files with one table of raw blocks and M lines
+# (see ``parse_subgraph``), so a block repeated in any of them is one
+# instance. The parsers are looked up among this module's globals at call
+# time, one call per file, so a wrapper swapped in for one sees each file.
+def _load_foon(path, objects):
+    return merge([_parse_file(path, lambda text: parse_subgraph(text, objects))])
 
 
-def _load_kitchen(path):
+def _load_kitchen(path, objects):
     if path is None:
         return Kitchen()
-    return _parse_file(path, parse_kitchen)
+    return _parse_file(path, lambda text: parse_kitchen(text, objects))
 
 
 def _load_rates(path):
@@ -90,7 +93,9 @@ def _load_rates(path):
 
 
 def cmd_merge(args) -> int:
-    docs = [_parse_file(path, parse_subgraph) for path in args.inputs]
+    objects = {}
+    docs = [_parse_file(path, lambda text: parse_subgraph(text, objects))
+            for path in args.inputs]
     foon = merge(docs)
     total, duplicates = merge_stats(docs, foon)
     _write(args.out, serialize_subgraph(SubgraphDocument(units=foon.units)))
@@ -101,8 +106,9 @@ def cmd_merge(args) -> int:
 
 
 def cmd_search(args) -> int:
-    foon = _load_foon(args.foon)
-    kitchen = _load_kitchen(args.kitchen)
+    objects = {}
+    foon = _load_foon(args.foon, objects)
+    kitchen = _load_kitchen(args.kitchen, objects)
     rates = _load_rates(args.rates)
     try:
         goal = parse_goal(args.goal)
@@ -140,8 +146,9 @@ def _bench_goal(spec, goal, foon, kitchen, rates, max_depth):
 
 
 def cmd_bench(args) -> int:
-    foon = _load_foon(args.foon)
-    kitchen = _load_kitchen(args.kitchen)
+    objects = {}
+    foon = _load_foon(args.foon, objects)
+    kitchen = _load_kitchen(args.kitchen, objects)
     rates = _load_rates(args.rates)
     goals = _parse_file(args.goals, parse_goals)
     rows = [BENCH_HEADER]

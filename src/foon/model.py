@@ -9,7 +9,13 @@ own identity, compared and hashed as their docstrings say. A
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+
+# A tab or any line boundary of str.splitlines() inside a token would split
+# its field or its line in the text formats, so the token could not be
+# written and read back; objects and motions refuse such tokens.
+_UNWRITABLE = re.compile("[\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 # Separators of the printable object key; ``_encode`` escapes them in tokens.
 _KEY_SEP = "|"
@@ -20,12 +26,20 @@ def _norm(token: str) -> str:
     return token.strip().lower()
 
 
+def _check_writable(kind, owner, tokens):
+    # One search over all tokens keeps the usual, clean case cheap.
+    if _UNWRITABLE.search("".join(tokens)):
+        token = next(token for token in tokens if _UNWRITABLE.search(token))
+        raise ValueError(f"{kind} {owner!r}: {token!r} contains a tab or line break")
+
+
 @dataclass(frozen=True, slots=True)
 class ObjectNode:
     """An object identified by name, state set and contained ingredients.
 
     ``motion_tag`` is the per-object flag column from the source files;
     it is carried for round-trip fidelity but excluded from identity.
+    A token holding a tab or line break is a ValueError.
     The hash of the identity is computed once, at construction; the class
     has ``__slots__``, so instances have no ``__dict__``.
     """
@@ -44,6 +58,8 @@ class ObjectNode:
         )
         if not self.name:
             raise ValueError("object name must be non-empty")
+        _check_writable("object", self.name,
+                        (self.name, self.motion_tag, *self.states, *self.ingredients))
         object.__setattr__(self, "_hash", hash((self.name, self.states, self.ingredients)))
 
     def __hash__(self):
@@ -59,7 +75,8 @@ class ObjectNode:
 class MotionNode:
     """A motion label, optionally carrying source-video timestamps.
 
-    Identity is label-only; timestamps never affect equality.
+    Identity is label-only; timestamps never affect equality. A label or
+    timestamp holding a tab or line break is a ValueError.
     """
 
     label: str
@@ -70,6 +87,8 @@ class MotionNode:
         object.__setattr__(self, "label", _norm(self.label))
         if not self.label:
             raise ValueError("motion label must be non-empty")
+        _check_writable("motion", self.label,
+                        (self.label, self.start_time or "", self.end_time or ""))
 
 
 def _encode(token: str) -> str:

@@ -15,7 +15,6 @@ identical documents emit identical bytes.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
 from .model import FunctionalUnit, Kitchen, MotionNode, MotionRateTable, ObjectNode
@@ -45,74 +44,94 @@ def _parse_ingredients(text, line_number):
 
 
 def _iter_records(text):
-    """Yield (line_number, fields) for every significant line."""
+    """Yield (line_number, line) for every significant line."""
     for number, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        yield number, line.split("\t")
+        stripped = line.lstrip()
+        if stripped and stripped[0] != "#":
+            yield number, line
 
 
-def _read_blocks(text, unit_end_closes_block=True):
+def _read_blocks(text, objects, unit_end_closes_block=True):
     """Yield (line_number, tag, item) for the significant lines of ``text``.
 
     O and S lines are read here: each object block is yielded once, as
-    ``(n, "O", ObjectNode)``, when the next O or M line, a ``//`` line if
-    ``unit_end_closes_block``, or the end of the text closes it; ``n`` is
-    the number of that closing line, or of the last significant line.
-    Every other line is yielded as ``(n, tag, fields)``. Blocks with the
-    same name, flag column, states in file order and ingredients yield one
-    shared ``ObjectNode``.
+    ``(n, "O", ObjectNode)``, when the next line that is not an S line
+    (nor a ``//`` line, unless ``unit_end_closes_block``) or the end of
+    the text closes it; ``n`` is the number of that closing line, or of
+    the last significant line. Closing on every other line makes a bad
+    block raise before any error of a later line. Every other line is
+    yielded as ``(n, tag, line)``.
     """
-    built = {}
-    name = None  # of the open block; None when no block is open
-    for number, fields in _iter_records(text):
-        tag = fields[0].strip()
+    lines = None  # raw lines of the open block; None when no block is open
+    for number, line in _iter_records(text):
+        tag = line.partition("\t")[0].strip()
         if tag == "S":
-            if name is None:
+            if lines is None:
                 raise ParseError("S line before any O line", number)
-            states.append(fields[1] if len(fields) > 1 else "")
-            if len(fields) > 2 and fields[2].strip():
-                ingredients.update(_parse_ingredients(fields[2], number))
+            lines.append(line)
+            numbers.append(number)
             continue
-        if name is not None and (tag in ("O", "M") or (tag == "//" and unit_end_closes_block)):
-            yield number, "O", _build(built, name, flag, states, ingredients)
-            name = None
-        if tag != "O":
-            yield number, tag, fields
-        elif len(fields) < 2 or not fields[1].strip():
-            raise ParseError("O line has no object name", number)
+        if lines is not None and (unit_end_closes_block or tag != "//"):
+            yield number, "O", _object(objects, lines, numbers)
+            lines = None
+        if tag == "O":
+            lines, numbers = [line], [number]
         else:
-            name, states, ingredients = fields[1], [], set()
-            flag = fields[2].strip() if len(fields) > 2 else ""
-    if name is not None:
-        yield number, "O", _build(built, name, flag, states, ingredients)
+            yield number, tag, line
+    if lines is not None:
+        yield number, "O", _object(objects, lines, numbers)
 
 
-def _build(built, name, flag, states, ingredients):
-    key = (name, flag, tuple(states), frozenset(ingredients))
-    obj = built.get(key)
-    if obj is None:
-        obj = built[key] = ObjectNode(name, states, ingredients, flag)
+def _object(objects, lines, numbers):
+    """The instance ``objects`` holds for a block's raw lines, built and
+    stored the first time those lines are read. The key is the lines
+    joined, one string per block, which holds less memory than a tuple."""
+    key = "\n".join(lines)
+    obj = objects.get(key)
+    if obj is not None:
+        return obj
+    head = lines[0].split("\t")
+    if len(head) < 2 or not head[1].strip():
+        raise ParseError("O line has no object name", numbers[0])
+    states, ingredients = [], set()
+    for number, line in zip(numbers[1:], lines[1:]):
+        fields = line.split("\t")
+        states.append(fields[1] if len(fields) > 1 else "")
+        if len(fields) > 2 and fields[2].strip():
+            ingredients.update(_parse_ingredients(fields[2], number))
+    flag = head[2].strip() if len(head) > 2 else ""
+    obj = objects[key] = ObjectNode(head[1], states, ingredients, flag)
     return obj
 
 
-def parse_subgraph(text: str) -> SubgraphDocument:
-    """Parse subgraph text into a document of functional units in file order."""
+def parse_subgraph(text: str, objects=None) -> SubgraphDocument:
+    """Parse subgraph text into a document of functional units in file order.
+
+    ``objects`` maps each raw object block (its O line and S lines, as
+    written) and each raw M line to the instance built for it. Texts
+    parsed with one table share an instance wherever they repeat a block
+    or an M line; without one, the text gets a table of its own.
+    """
+    if objects is None:
+        objects = {}
     units = []
     inputs, outputs = [], []
     motion = None
     number = 0
-    for number, tag, item in _read_blocks(text):
+    for number, tag, item in _read_blocks(text, objects):
         if tag == "O":
             (outputs if motion is not None else inputs).append(item)
         elif tag == "M":
             if motion is not None:
                 raise ParseError("second M line in one unit", number)
-            if len(item) < 2 or not item[1].strip():
-                raise ParseError("M line has no motion label", number)
-            start = item[2].strip() if len(item) > 2 and item[2].strip() else None
-            end = item[3].strip() if len(item) > 3 and item[3].strip() else None
-            motion = MotionNode(item[1], start_time=start, end_time=end)
+            motion = objects.get(item)
+            if motion is None:
+                fields = item.split("\t")
+                if len(fields) < 2 or not fields[1].strip():
+                    raise ParseError("M line has no motion label", number)
+                start = fields[2].strip() if len(fields) > 2 and fields[2].strip() else None
+                end = fields[3].strip() if len(fields) > 3 and fields[3].strip() else None
+                motion = objects[item] = MotionNode(fields[1], start_time=start, end_time=end)
         elif tag == "//":
             if motion is None:
                 raise ParseError("unit ended by // has no M line", number)
@@ -128,22 +147,7 @@ def parse_subgraph(text: str) -> SubgraphDocument:
     return SubgraphDocument(units=units)
 
 
-# A tab or any line boundary of str.splitlines() inside a token would split
-# its field or its line, so the token would not parse back as written.
-_UNWRITABLE = re.compile("[\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
-
-
-def _check_tokens(kind, owner, tokens):
-    # One search over all tokens keeps the usual, clean case cheap: the
-    # whole merged FOON is serialized on every `foon merge`.
-    if _UNWRITABLE.search("".join(tokens)):
-        token = next(token for token in tokens if _UNWRITABLE.search(token))
-        raise ValueError(
-            f"cannot serialize {kind} {owner!r}: {token!r} contains a tab or line break")
-
-
 def _serialize_object(obj: ObjectNode, lines):
-    _check_tokens("object", obj.name, (obj.name, obj.motion_tag, *obj.states, *obj.ingredients))
     for ingredient in obj.ingredients:
         if not ingredient or "," in ingredient:
             raise ValueError(f"cannot serialize object {obj.name!r}: "
@@ -169,9 +173,10 @@ def _serialize_object(obj: ObjectNode, lines):
 def serialize_subgraph(doc: SubgraphDocument) -> str:
     """Canonical text for a document; parsing it back reproduces the units.
 
-    Raises ValueError for what the format cannot carry: a tab or line
-    break in any token, an ingredient that is empty or contains ',', or
-    ingredients on an object without states.
+    Raises ValueError for what the format cannot carry: an ingredient that
+    is empty or contains ',', or ingredients on an object without states.
+    A tab or line break in a token never gets here: building the object or
+    motion refuses it.
     """
     if not doc.units:
         return ""
@@ -180,8 +185,6 @@ def serialize_subgraph(doc: SubgraphDocument) -> str:
         for obj in unit.inputs:
             _serialize_object(obj, lines)
         motion = unit.motion
-        _check_tokens("motion", motion.label,
-                      (motion.label, motion.start_time or "", motion.end_time or ""))
         motion_line = f"M\t{motion.label}"
         if motion.start_time is not None:
             motion_line += f"\t{motion.start_time}"
@@ -194,10 +197,17 @@ def serialize_subgraph(doc: SubgraphDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_kitchen(text: str) -> Kitchen:
-    """Parse a kitchen file: O/S blocks only, one item per block."""
+def parse_kitchen(text: str, objects=None) -> Kitchen:
+    """Parse a kitchen file: O/S blocks only, one item per block.
+
+    ``objects`` is the table ``parse_subgraph`` takes: a kitchen block
+    written like a block of a FOON read with the same table is the FOON's
+    instance.
+    """
+    if objects is None:
+        objects = {}
     items = []
-    for number, tag, item in _read_blocks(text, unit_end_closes_block=False):
+    for number, tag, item in _read_blocks(text, objects, unit_end_closes_block=False):
         if tag == "O":
             items.append(item)
         elif tag == "M":
@@ -210,7 +220,8 @@ def parse_kitchen(text: str) -> Kitchen:
 def parse_rates(text: str) -> MotionRateTable:
     """Parse a motion-rate file of ``label<TAB>rate`` lines."""
     rates = {}
-    for number, fields in _iter_records(text):
+    for number, line in _iter_records(text):
+        fields = line.split("\t")
         if len(fields) != 2:
             raise ParseError(f"expected label<TAB>rate, got {fields!r}", number)
         label = fields[0].strip().lower()
@@ -228,7 +239,8 @@ def parse_goal(spec: str) -> ObjectNode:
     """Parse a goal spec string: ``name[;state1,state2[;ing1,ing2]]``.
 
     A state written ``\\e``, the form ``object_key`` prints, is the empty
-    state of a bare S line.
+    state of a bare S line. A token holding a tab or line break is a
+    ParseError.
     """
     parts = spec.split(";")
     name = parts[0].strip()
@@ -240,15 +252,18 @@ def parse_goal(spec: str) -> ObjectNode:
         states = {"" if s.strip() == "\\e" else s for s in parts[1].split(",") if s.strip()}
     if len(parts) > 2:
         ingredients = {i for i in parts[2].split(",") if i.strip()}
-    return ObjectNode(name=name, states=states, ingredients=ingredients)
+    try:
+        return ObjectNode(name=name, states=states, ingredients=ingredients)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def parse_goals(text: str) -> list:
     """Parse a goals file, one goal spec per significant line, into
     ``(spec, ObjectNode)`` pairs; each spec is its line, trimmed."""
     goals = []
-    for number, fields in _iter_records(text):
-        spec = "\t".join(fields).strip()
+    for number, line in _iter_records(text):
+        spec = line.strip()
         try:
             goals.append((spec, parse_goal(spec)))
         except ParseError as exc:

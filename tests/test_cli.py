@@ -108,6 +108,14 @@ def test_search_unreachable_exits_2(tmp_path, capsys):
     assert "GoalUnreachable" in stderr
 
 
+def test_search_goal_with_a_tab_exits_1_on_one_line(tmp_path, capsys):
+    code, stdout, stderr = run(
+        capsys, "search", "--foon", ICE / "foon.txt", "--goal", "ic\te",
+        "--kitchen", ICE / "kitchen.txt", "--out", tmp_path / "t.txt")
+    assert (code, stdout) == (1, "")
+    assert stderr == "error: goal: object 'ic\\te': 'ic\\te' contains a tab or line break\n"
+
+
 def test_search_missing_file_exits_1(tmp_path, capsys):
     code, _, stderr = run(
         capsys, "search", "--foon", tmp_path / "nope.txt", "--goal", "x",
@@ -182,6 +190,19 @@ def test_bench_bad_goal_line_exits_1_naming_the_line(tmp_path, capsys):
         "--goals", goals, "--out", out)
     assert (code, stdout) == (1, "")
     assert stderr == f"error: {goals}:4: goal spec has an empty name\n"
+    assert not out.exists()
+
+
+def test_bench_goal_line_with_a_tab_exits_1_naming_the_line(tmp_path, capsys):
+    goals = tmp_path / "goals.txt"
+    goals.write_text("ice;solid\nice;so\tlid\n")
+    out = tmp_path / "bench.tsv"
+    code, stdout, stderr = run(
+        capsys, "bench", "--foon", ICE / "foon.txt", "--kitchen", ICE / "kitchen.txt",
+        "--goals", goals, "--out", out)
+    assert (code, stdout) == (1, "")
+    assert stderr == (f"error: {goals}:2: object 'ice': 'so\\tlid' contains a tab or "
+                      "line break\n")
     assert not out.exists()
 
 

@@ -64,6 +64,12 @@ def test_motion_identity_label_only():
     assert MotionNode("pour") != MotionNode("slice")
 
 
+def test_objects_and_motions_accept_breaks_that_normalizing_strips():
+    # Names, states, ingredients and labels are stripped before the check.
+    assert ObjectNode("ice\n", {"\tsolid"}, {"water\r"}) == obj("ice", "solid", ings=["water"])
+    assert MotionNode("\tfreeze\n") == MotionNode("freeze")
+
+
 @given(name=names, states=token_sets, ings=token_sets, perm_seed=st.integers(0, 100))
 def test_object_key_constant_over_permutations(name, states, ings, perm_seed):
     import random

@@ -221,9 +221,11 @@ def test_parse_goals_error_carries_line_number():
     assert (err.value.line_number, str(err.value)) == (4, "goal spec has an empty name")
 
 
-def _api_unit(name="bowl", states=("full",), ingredients=(), tag="", label="mix"):
+def _api_unit(name="bowl", states=("full",), ingredients=(), tag="", label="mix",
+              start=None, end=None):
     made = ObjectNode(name, frozenset(states), frozenset(ingredients), motion_tag=tag)
-    return FunctionalUnit([made], MotionNode(label), [ObjectNode("salad", frozenset({"mixed"}))])
+    return FunctionalUnit([made], MotionNode(label, start, end),
+                          [ObjectNode("salad", frozenset({"mixed"}))])
 
 
 @pytest.mark.parametrize("kwargs, token", [
@@ -237,7 +239,11 @@ def _api_unit(name="bowl", states=("full",), ingredients=(), tag="", label="mix"
     ({"states": [], "ingredients": ["salt"]}, "without a state"),
 ])
 def test_serialize_refuses_what_the_format_cannot_carry(kwargs, token):
-    with pytest.raises(ValueError, match="cannot serialize") as caught:
+    # The unit is built inside the ``raises`` block: a tab or line break is
+    # refused when its object or motion is built (see ``test_model``), the
+    # other cases by the serializer.
+    with pytest.raises(ValueError, match="cannot serialize|contains a tab or line break") \
+            as caught:
         serialize_subgraph(SubgraphDocument(units=[_api_unit(**kwargs)]))
     assert token in str(caught.value)
 
@@ -248,34 +254,51 @@ _BREAKS = ["\t"] + [chr(c) for c in range(0x3000) if len(f"a{chr(c)}b".splitline
 
 @pytest.mark.parametrize("brk", _BREAKS, ids=lambda brk: f"U+{ord(brk):04X}")
 def test_serialize_refuses_every_tab_and_line_break(brk):
-    with pytest.raises(ValueError, match="tab or line break"):
-        serialize_subgraph(SubgraphDocument(units=[_api_unit(name=f"x{brk}y")]))
+    # The refusal comes before the serializer: building the object or
+    # motion refuses the token, in each of the seven token positions.
+    token = f"x{brk}y"
+    for kwargs in ({"name": token}, {"states": [token]}, {"ingredients": [token]},
+                   {"tag": token}, {"label": token}, {"start": token},
+                   {"start": "0:01", "end": token}):
+        with pytest.raises(ValueError, match="contains a tab or line break") as caught:
+            serialize_subgraph(SubgraphDocument(units=[_api_unit(**kwargs)]))
+        assert repr(token) in str(caught.value)
 
 
 _plain = st.text(st.sampled_from("aB ,{}#/"), min_size=1, max_size=3)
 # About one token in 50 gets a tab or line break inside, so that most
-# documents are writable and the round trip is exercised.
+# units can be built and the round trip is exercised.
 _broken = st.builds("".join, st.tuples(_plain, st.sampled_from(_BREAKS), _plain))
 _texts = st.integers(0, 49).flatmap(lambda n: _broken if n == 7 else _plain)
 _names = _texts.filter(str.strip)
-_objects = st.builds(
-    ObjectNode, name=_names, states=st.frozensets(_texts, max_size=2),
-    ingredients=st.frozensets(_texts, max_size=1), motion_tag=_texts)
-_units = st.builds(
-    FunctionalUnit,
-    inputs=st.lists(_objects, min_size=1, max_size=2),
-    motion=st.builds(MotionNode, label=_names, start_time=st.none() | _texts,
-                     end_time=st.none() | _texts),
-    outputs=st.lists(_objects, min_size=1, max_size=2),
+# Constructor arguments, not instances: building is part of the property.
+_objects = st.tuples(_names, st.frozensets(_texts, max_size=2),
+                     st.frozensets(_texts, max_size=1), _texts)
+_units = st.tuples(
+    st.lists(_objects, min_size=1, max_size=2),
+    st.tuples(_names, st.none() | _texts, st.none() | _texts),
+    st.lists(_objects, min_size=1, max_size=2),
 )
 
 
+def _build_unit(inputs, motion, outputs):
+    return FunctionalUnit([ObjectNode(*args) for args in inputs], MotionNode(*motion),
+                          [ObjectNode(*args) for args in outputs])
+
+
 @settings(max_examples=300)
-@given(units=st.lists(_units, min_size=1, max_size=2))
-def test_serialize_refuses_or_round_trips_api_units(units):
+@given(specs=st.lists(_units, min_size=1, max_size=2))
+def test_serialize_refuses_or_round_trips_api_units(specs):
+    try:
+        units = [_build_unit(*spec) for spec in specs]
+    except ValueError as exc:
+        # Only a tab or line break stops an object or motion being built.
+        assert "contains a tab or line break" in str(exc)
+        return
     try:
         text = serialize_subgraph(SubgraphDocument(units=units))
-    except ValueError:
+    except ValueError as exc:
+        assert "cannot serialize" in str(exc)
         return
     parsed = parse_subgraph(text).units
     assert parsed == units

@@ -187,6 +187,11 @@ def test_random_documents_parse_as_the_reference_does():
     "O\tx\nS\ta\nM\tm\nO\ty\n//\nO\tx\nS\ta\nM\tm\nO\ty\n",
     "S\ty\n",
     "O\tx\r\nS\t\t{a, ,b}\r\nM\tm\t1\r\nO\ty\t1\r\n//\r\n",
+    # A block's S lines are parsed when a later line closes it; every line
+    # but another S line (or, in a kitchen, a // line) must close it, so
+    # its error comes before the later line's.
+    "O\tx\nS\ta\t[bad]\nX\tfoo\n",
+    "O\tx\nS\ta\t[bad]\n//\n///\n",
 ])
 def test_edge_documents_parse_as_the_reference_does(text):
     _assert_same(text)

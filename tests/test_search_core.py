@@ -5,7 +5,9 @@ The differential tests compare every search with the copies in
 ``ObjectNode.__hash__`` calls, which every set and dict lookup of an
 object makes, and ``ObjectNode.__eq__`` calls, which every scan of a list
 for an object makes, so they gate the complexity class without timing
-anything. The merge gate counts ``FunctionalUnit.__hash__`` calls.
+anything. The merge gate counts ``FunctionalUnit.__hash__`` calls, and
+the ingest gates count the ``ObjectNode`` and ``MotionNode`` instances
+one CLI command builds.
 """
 import sys
 
@@ -14,6 +16,7 @@ import pytest
 from foon import (
     FunctionalUnit,
     Kitchen,
+    MotionNode,
     MotionRateTable,
     ObjectNode,
     TaskTree,
@@ -24,9 +27,10 @@ from foon import (
     search_ids,
     validate_task_tree,
 )
+from foon.cli import main
 
 import reference_search as reference
-from conftest import build_foon, obj, unit
+from conftest import CORPUS_DIR, build_foon, obj, unit
 from oracle import GeneratorConfig, generate_instance
 
 
@@ -170,3 +174,60 @@ def test_merge_hashes_each_unit_once(monkeypatch, corpus_docs):
                              lambda: merge(corpus_docs))
     assert calls == sum(len(doc.units) for doc in corpus_docs)
     assert len(foon.units) < calls
+
+
+def _raw_blocks_and_motion_lines(texts):
+    """The distinct raw object blocks (an O line and its S lines, as
+    written) and the distinct raw M lines of subgraph texts."""
+    blocks, motions = set(), set()
+    for text in texts:
+        block = []
+        for line in text.splitlines():
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            tag = line.split("\t")[0].strip()
+            if tag == "S":
+                block.append(line)
+                continue
+            if block:
+                blocks.add(tuple(block))
+            block = [line] if tag == "O" else []
+            if tag == "M":
+                motions.add(line)
+        if block:
+            blocks.add(tuple(block))
+    return blocks, motions
+
+
+def test_merge_builds_one_instance_per_raw_block_and_motion_line(monkeypatch, tmp_path):
+    paths = sorted(CORPUS_DIR.glob("*.txt")) * 2
+    blocks, motions = _raw_blocks_and_motion_lines(p.read_text(encoding="utf-8") for p in paths)
+    argv = ["merge", *map(str, paths), "--out", str(tmp_path / "universal.txt")]
+    code, [objects] = _counted(monkeypatch, ObjectNode, ("__post_init__",), lambda: main(argv))
+    assert code == 0
+    _, [motion_nodes] = _counted(monkeypatch, MotionNode, ("__post_init__",), lambda: main(argv))
+    assert (objects, motion_nodes) == (len(blocks), len(motions))
+
+
+def test_search_kitchen_item_written_like_a_foon_block_is_the_foons_instance(
+        monkeypatch, tmp_path):
+    foon_path, kitchen_path = tmp_path / "foon.txt", tmp_path / "kitchen.txt"
+    foon_path.write_text("O\twater\t1\nS\tliquid\nO\ttray\t0\nS\tempty\n"
+                         "M\tfreeze\nO\tice\t0\nS\tsolid\n//\n")
+    # The tray is written with another flag column: an equal object, but
+    # another raw block and so another instance.
+    kitchen_path.write_text("O\twater\t1\nS\tliquid\nO\ttray\nS\tempty\n")
+    seen = []
+
+    def spy(foon, goal, kitchen, **kwargs):
+        seen.append((foon, kitchen))
+        return search_ids(foon, goal, kitchen, **kwargs)
+
+    monkeypatch.setattr("foon.cli.search_ids", spy)
+    code = main(["search", "--foon", str(foon_path), "--goal", "ice;solid",
+                 "--kitchen", str(kitchen_path), "--out", str(tmp_path / "tree.txt")])
+    assert code == 0
+    [(universal, kitchen)] = seen
+    water, tray = universal.units[0].inputs
+    assert kitchen.items[0] is water
+    assert kitchen.items[1] == tray and kitchen.items[1] is not tray
