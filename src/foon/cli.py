@@ -49,6 +49,23 @@ class _InputError(Exception):
     pass
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as an input error: one line, exit 1."""
+
+    def error(self, message):
+        raise _InputError(message)
+
+
+def _max_depth(text):
+    try:
+        depth = int(text)
+    except ValueError:
+        depth = -1
+    if depth < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return depth
+
+
 def _read(path) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
@@ -65,9 +82,9 @@ def _write(path, text):
         raise _InputError(f"{path}: {exc.strerror or exc}")
 
 
-def _parse_file(path, parse_fn):
+def _parse_file(path, parse_fn, *args):
     try:
-        return parse_fn(_read(path))
+        return parse_fn(_read(path), *args)
     except ParseError as exc:
         raise _InputError(f"{path}:{exc.line_number}: {exc}")
 
@@ -75,27 +92,21 @@ def _parse_file(path, parse_fn):
 # Each command reads its files with one table of raw blocks and M lines
 # (see ``parse_subgraph``), so a block repeated in any of them is one
 # instance. The parsers are looked up among this module's globals at call
-# time, one call per file, so a wrapper swapped in for one sees each file.
-def _load_foon(path, objects):
-    return merge([_parse_file(path, lambda text: parse_subgraph(text, objects))])
-
-
-def _load_kitchen(path, objects):
-    if path is None:
-        return Kitchen()
-    return _parse_file(path, lambda text: parse_kitchen(text, objects))
-
-
-def _load_rates(path):
-    if path is None:
-        return MotionRateTable()
-    return _parse_file(path, parse_rates)
+# time, one call per file with the text first, so a wrapper swapped in for
+# one sees each file.
+def _load(args):
+    """The FOON, kitchen and rates that ``search`` and ``bench`` read."""
+    objects = {}
+    foon = merge([_parse_file(args.foon, parse_subgraph, objects)])
+    kitchen = (Kitchen() if args.kitchen is None
+               else _parse_file(args.kitchen, parse_kitchen, objects))
+    rates = MotionRateTable() if args.rates is None else _parse_file(args.rates, parse_rates)
+    return foon, kitchen, rates
 
 
 def cmd_merge(args) -> int:
     objects = {}
-    docs = [_parse_file(path, lambda text: parse_subgraph(text, objects))
-            for path in args.inputs]
+    docs = [_parse_file(path, parse_subgraph, objects) for path in args.inputs]
     foon = merge(docs)
     total, duplicates = merge_stats(docs, foon)
     _write(args.out, serialize_subgraph(SubgraphDocument(units=foon.units)))
@@ -106,10 +117,7 @@ def cmd_merge(args) -> int:
 
 
 def cmd_search(args) -> int:
-    objects = {}
-    foon = _load_foon(args.foon, objects)
-    kitchen = _load_kitchen(args.kitchen, objects)
-    rates = _load_rates(args.rates)
+    foon, kitchen, rates = _load(args)
     try:
         goal = parse_goal(args.goal)
     except ParseError as exc:
@@ -146,10 +154,7 @@ def _bench_goal(spec, goal, foon, kitchen, rates, max_depth):
 
 
 def cmd_bench(args) -> int:
-    objects = {}
-    foon = _load_foon(args.foon, objects)
-    kitchen = _load_kitchen(args.kitchen, objects)
-    rates = _load_rates(args.rates)
+    foon, kitchen, rates = _load(args)
     goals = _parse_file(args.goals, parse_goals)
     rows = [BENCH_HEADER]
     successes = 0
@@ -172,7 +177,7 @@ def cmd_dot(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="foon",
         description="Build a universal FOON and retrieve task trees for goal objects.",
     )
@@ -191,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--algo", default="ids",
                           choices=ALGORITHMS)
     p_search.add_argument("--rates", help="motion success-rate file")
-    p_search.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
+    p_search.add_argument("--max-depth", type=_max_depth, default=DEFAULT_MAX_DEPTH)
     p_search.add_argument("--out", required=True, help="output path for the task tree")
     p_search.set_defaults(func=cmd_search)
 
@@ -200,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--kitchen")
     p_bench.add_argument("--goals", required=True, help="file with one goal spec per line")
     p_bench.add_argument("--rates")
-    p_bench.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
+    p_bench.add_argument("--max-depth", type=_max_depth, default=DEFAULT_MAX_DEPTH)
     p_bench.add_argument("--out", required=True, help="output TSV path")
     p_bench.set_defaults(func=cmd_bench)
 
@@ -213,9 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -106,7 +106,10 @@ def search_ids(
     first) and deduplicated. The set of in-progress objects on the DFS
     path is one mutable set per iteration, so cyclic knowledge cannot
     loop the search. The DFS runs on an explicit stack of frames, not on
-    the Python stack, so any ``max_depth`` is safe.
+    the Python stack, so any ``max_depth`` is safe. A frame holds an
+    iterator over its object's candidates and one over the inputs of the
+    unit it is trying, so a child's result resumes the frame where it
+    stopped.
     """
     stats = SearchStats()
     if goal not in kitchen and not foon.producing(goal):
@@ -115,19 +118,19 @@ def search_ids(
 
     producing = foon.producing
     visits: dict[ObjectNode, int] = {}
-    dead_ends: dict[ObjectNode, ObjectNode] = {}
     deepest = 0
     solved = False
     reason = FailureReason.DEPTH_EXHAUSTED
     for depth in range(max_depth + 1):
         stats.depth_limit_reached = depth
-        dead_ends.clear()
+        dead_ends = set()
         depth_limit_hit = False
         expansions = 0
         path = set()
         # ``emitted`` holds the post-order units of every solved subtree;
         # a frame's subtree is the slice from its ``mark``. A frame is
-        # [object, candidates, candidate index, next input index, mark].
+        # [object, its candidates left, the unit being tried, that unit's
+        # inputs left, mark]; the two iterators are the frame's cursors.
         emitted = []
         stack = []
         obj = goal
@@ -148,10 +151,9 @@ def search_ids(
                         candidates = producing(obj)
                         if candidates:
                             path.add(obj)
-                            stack.append([obj, candidates, -1, 0, len(emitted)])
+                            stack.append([obj, iter(candidates), None, None, len(emitted)])
                         else:
-                            dead_ends[obj] = obj
-                obj = None
+                            dead_ends.add(obj)
             if not stack:
                 solved = ok
                 break
@@ -159,29 +161,24 @@ def search_ids(
             if not ok:
                 # The current unit failed (or none was tried yet): try the
                 # next candidate whose inputs avoid the path.
-                candidates = frame[1]
-                index = frame[2] + 1
-                while index < len(candidates):
+                for unit in frame[1]:
                     expansions += 1
-                    if path.isdisjoint(candidates[index].inputs):
+                    if path.isdisjoint(unit.inputs):
                         break
-                    index += 1
-                if index == len(candidates):
+                else:
                     stack.pop()
                     path.discard(frame[0])
+                    obj = None
                     continue
-                frame[2] = index
-                frame[3] = 0
+                frame[2] = unit
+                frame[3] = iter(unit.inputs)
                 del emitted[frame[4]:]
-            unit = frame[1][frame[2]]
-            if frame[3] < len(unit.inputs):
-                obj = unit.inputs[frame[3]]
-                frame[3] += 1
-                continue
-            emitted.append(unit)
-            stack.pop()
-            path.discard(frame[0])
-            ok = True
+            obj = next(frame[3], None)
+            if obj is None:
+                emitted.append(frame[2])
+                stack.pop()
+                path.discard(frame[0])
+                ok = True
         stats.per_depth_expansions.append(expansions)
         if solved:
             break
@@ -198,7 +195,7 @@ def search_ids(
         unique = {id(unit): unit for unit in emitted}
         return SearchOutcome(tree=TaskTree(list(unique.values()), goal, stats))
     return SearchOutcome(failure=SearchFailure(
-        reason, sorted(dead_ends.values(), key=object_key) or [goal], stats))
+        reason, sorted(dead_ends, key=object_key) or [goal], stats))
 
 
 def _dependency_sort(selected, kitchen):
@@ -244,21 +241,17 @@ def _dependency_sort(selected, kitchen):
 
 def _search_greedy(foon, goal, kitchen, selection_key) -> SearchOutcome:
     stats = SearchStats()
-    queue = deque([goal])
-    visited = {goal}
+    # Each object not in the kitchen is queued once, when it enters ``visits``.
+    visits: dict[ObjectNode, int] = {} if goal in kitchen else {goal: 1}
+    queue = deque(visits)
     # Chosen units, once each, in discovery order. One unit can be chosen
     # for several of its outputs; a FOON holds each unit as one object.
     selected: dict[int, FunctionalUnit] = {}
-    visits: dict[ObjectNode, int] = {}
     blocked = set()
     while queue:
         node = queue.popleft()
-        if node in kitchen:
-            continue
         candidates = foon.producing(node)
         stats.expansions += len(candidates)
-        # ``visited`` queues each object once.
-        visits[node] = 1
         if not candidates:
             blocked.add(node)
             continue
@@ -267,8 +260,8 @@ def _search_greedy(foon, goal, kitchen, selection_key) -> SearchOutcome:
         best = min(candidates, key=selection_key)
         selected.setdefault(id(best), best)
         for inp in best.inputs:
-            if inp not in visited:
-                visited.add(inp)
+            if inp not in visits and inp not in kitchen:
+                visits[inp] = 1
                 queue.append(inp)
 
     stats.per_depth_expansions = [stats.expansions]

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foon import merge, merge_stats, parse_subgraph
 from foon.cli import BENCH_HEADER, main
@@ -326,3 +331,135 @@ def test_unwritable_out_exits_1(tmp_path, capsys, command):
     code, _, stderr = run(capsys, *_argv(command, ICE / "foon.txt", out))
     assert code == 1
     assert stderr.startswith(f"error: {out}: ")
+
+
+def _search(out, *extra):
+    return ["search", "--foon", ICE / "foon.txt", "--goal", "ice;solid",
+            "--kitchen", ICE / "kitchen.txt", *extra, "--out", out]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (lambda out: _search(out, "--max-depth", "abc"),
+     "error: argument --max-depth: expected an integer >= 0, got 'abc'"),
+    (lambda out: _search(out, "--max-depth", "-1"),
+     "error: argument --max-depth: expected an integer >= 0, got '-1'"),
+    (lambda out: _search(out)[:-2], "error: the following arguments are required: --out"),
+    (lambda out: _search(out, "--algo", "nope"), "error: argument --algo: invalid choice: "),
+    (lambda out: [], "error: the following arguments are required: command"),
+], ids=["max-depth-abc", "max-depth-negative", "no-out", "unknown-algo", "no-command"])
+def test_argument_errors_exit_1_on_one_line(tmp_path, capsys, argv, message):
+    out = tmp_path / "tree.txt"
+    code, stdout, stderr = run(capsys, *argv(out))
+    assert (code, stdout) == (1, "")
+    assert stderr.startswith(message)
+    assert stderr.count("\n") == 1 and stderr.endswith("\n")
+    assert not out.exists()
+
+
+def test_search_max_depth_0_is_accepted(tmp_path, capsys):
+    code, _, stderr = run(capsys, *_search(tmp_path / "tree.txt", "--max-depth", "0"))
+    assert (code, stderr) == (2, "no solution: DepthExhausted\nblocked objects: ice|solid|\n")
+
+
+def test_search_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["search", "--help"])
+    assert exit_info.value.code == 0
+    assert "--max-depth" in capsys.readouterr().out
+
+
+# The CLI fuzz property: every command, on mutated fixture files and on
+# argv drawn from its own flags and values, returns 0, 1 or 2 and prints
+# the documented stderr lines, and no exception escapes ``main``.
+_FLAGS = {
+    "merge": ["--out"],
+    "search": ["--foon", "--goal", "--kitchen", "--algo", "--rates", "--max-depth", "--out"],
+    "bench": ["--foon", "--kitchen", "--goals", "--rates", "--max-depth", "--out"],
+    "dot": ["--foon", "--out"],
+}
+_REQUIRED = {"--foon", "--goal", "--goals", "--out"}
+
+
+@st.composite
+def _mutated(draw, data):
+    """``data`` after one to three byte flips, dropped or duplicated lines,
+    inserted tabs, line breaks or invalid UTF-8 bytes, or BOMs."""
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["flip", "drop", "dup", "insert", "bom"]))
+        lines = data.splitlines(keepends=True)
+        if kind == "bom":
+            data = b"\xef\xbb\xbf" + data
+        elif kind in ("drop", "dup") and lines:
+            at = draw(st.integers(0, len(lines) - 1))
+            lines[at:at + 1] = [] if kind == "drop" else [lines[at]] * 2
+            data = b"".join(lines)
+        elif kind == "flip" and data:
+            at = draw(st.integers(0, len(data) - 1))
+            data = data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1:]
+        else:
+            at = draw(st.integers(0, len(data)))
+            inserted = draw(st.sampled_from([b"\t", b"\n", b"\r", b"\xff", b"\xc3("]))
+            data = data[:at] + inserted + data[at:]
+    return data
+
+
+def _value(flag, files, work, goal):
+    """A strategy for ``flag``'s value: mostly a usable one, else a broken one."""
+    def mostly(usable, *broken):
+        return st.sampled_from([*usable] * (3 * len(broken)) + list(broken))
+
+    if flag == "--out":
+        return mostly([work / "out.txt"], work, work / "missing" / "out.txt")
+    if flag == "--goal":
+        return mostly([goal], "water;liquid", "juice;fresh;carrot", "pizza", ";bad",
+                      "ice;so\tlid", "", ";;;")
+    if flag == "--algo":
+        return mostly(["ids", "gbfs-rate", "gbfs-inputs"], "nope", "")
+    if flag == "--max-depth":
+        return mostly(["0", "1", "3", "50", "99999999999999999999"], "-1", "abc", "")
+    return mostly([files[flag]], *(path for other, path in files.items() if other != flag),
+                  work / "missing.txt", work)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("command", ["merge", "search", "bench", "dot"])
+def test_cli_fuzz_exits_0_1_or_2_with_documented_stderr(command, data):
+    fixture = FIXTURES / data.draw(st.sampled_from(["ice", "divergence"]), label="fixture")
+    goal = (fixture / "goals.txt").read_text(encoding="utf-8").split()[0]
+    mutated = data.draw(st.sampled_from([None, "foon", "kitchen", "goals", "rates"]),
+                        label="mutated file")
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        files = {}
+        for name in ("foon", "kitchen", "goals", "rates"):
+            text = (fixture / f"{name}.txt").read_bytes()
+            if name == mutated:
+                text = data.draw(_mutated(text), label=name)
+            files[f"--{name}"] = work / f"{name}.txt"
+            files[f"--{name}"].write_bytes(text)
+        argv = [command]
+        if command == "merge":
+            inputs = st.lists(_value("--foon", files, work, goal), min_size=1, max_size=3)
+            argv += data.draw(inputs, label="inputs")
+        for flag in _FLAGS[command]:
+            if flag in _REQUIRED or data.draw(st.booleans(), label=flag):
+                argv += [flag, data.draw(_value(flag, files, work, goal), label=flag)]
+        # Sometimes one token is dropped, which may leave a required flag
+        # or a value out, or a flag is given a second time.
+        at = data.draw(st.integers(1, len(argv)), label="edit at")
+        edit = data.draw(st.sampled_from([None, None, None, "drop", "repeat"]), label="edit")
+        if edit == "drop":
+            del argv[at:at + 1]
+        elif edit == "repeat":
+            flag = data.draw(st.sampled_from(_FLAGS[command]), label="repeated")
+            argv[at:at] = [flag, data.draw(_value(flag, files, work, goal), label=flag)]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([str(arg) for arg in argv])
+    lines = stderr.getvalue().splitlines()
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    if command == "search" and code == 2:
+        assert [line.split(":")[0] for line in lines] == ["no solution", "blocked objects"], lines

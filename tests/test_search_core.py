@@ -100,6 +100,40 @@ def test_searches_match_reference_when_goal_is_in_kitchen(chain):
     assert (outcome.tree.stats.per_depth_expansions, outcome.tree.stats.object_visits) == ([0], {})
 
 
+def _ladder(levels):
+    """Two objects per rung, each made two ways from both objects of the
+    rung below, so every subgoal is shared; the bottom rung is in the
+    kitchen and the top is ``levels`` deep."""
+    rungs = [[obj(f"rung{level}", side) for side in ("left", "right")]
+             for level in range(levels + 1)]
+    units = [unit(below, motion, [made]) for below, rung in zip(rungs, rungs[1:])
+             for made in rung for motion in ("mix", "stir")]
+    return build_foon(*units), rungs[-1][0], Kitchen(rungs[0])
+
+
+@pytest.mark.parametrize("levels", [4, 6, 8])
+@pytest.mark.parametrize("slack", [-1, 0, 1])
+def test_searches_match_reference_on_shared_subgoals(levels, slack):
+    foon, goal, kitchen = _ladder(levels)
+    _assert_same_as_reference(foon, goal, kitchen, _rates(foon), max_depth=levels + slack)
+    assert search_ids(foon, goal, kitchen, levels + slack).ok == (slack >= 0)
+
+
+@pytest.mark.parametrize("base_in_kitchen", [True, False])
+@pytest.mark.parametrize("max_depth", [0, 1, 2, 3, 5])
+def test_searches_match_reference_on_a_cycle_with_an_escape(base_in_kitchen, max_depth):
+    # x <- y <- x, listed before the escape x <- base, so IDS meets the
+    # cycle first at every depth.
+    x, y, base = obj("x", "made"), obj("y", "made"), obj("base", "raw")
+    foon = build_foon(unit([y], "melt", [x]), unit([x], "freeze", [y]),
+                      unit([base], "cook", [x]))
+    kitchen = Kitchen([base] if base_in_kitchen else [])
+    for goal, height in ((x, 1), (y, 2)):
+        _assert_same_as_reference(foon, goal, kitchen, _rates(foon), max_depth)
+        assert search_ids(foon, goal, kitchen, max_depth).ok == (
+            base_in_kitchen and max_depth >= height)
+
+
 def _chain(length):
     links = [obj("link0", "raw")] + [obj(f"link{i}", "made") for i in range(1, length + 1)]
     units = [unit([links[i]], "stir", [links[i + 1]]) for i in range(length)]
