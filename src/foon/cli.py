@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 from pathlib import Path
@@ -47,6 +48,11 @@ ALGORITHMS = {
 
 class _InputError(Exception):
     pass
+
+
+# Every line boundary of str.splitlines(): a path or an argument quoted in
+# an error message is printed with these escaped, so the message is one line.
+_LINE_BREAK = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -222,7 +228,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = _LINE_BREAK.sub(lambda match: repr(match.group())[1:-1], str(exc))
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

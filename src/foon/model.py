@@ -10,7 +10,6 @@ own identity, compared and hashed as their docstrings say. A
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 # A tab or any line boundary of str.splitlines() inside a token would split
 # its field or its line in the text formats, so the token could not be
@@ -20,6 +19,8 @@ _UNWRITABLE = re.compile("[\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 # Separators of the printable object key; ``_encode`` escapes them in tokens.
 _KEY_SEP = "|"
 _ITEM_SEP = ";"
+
+_set = object.__setattr__
 
 
 def _norm(token: str) -> str:
@@ -33,8 +34,45 @@ def _check_writable(kind, owner, tokens):
         raise ValueError(f"{kind} {owner!r}: {token!r} contains a tab or line break")
 
 
-@dataclass(frozen=True, slots=True)
-class ObjectNode:
+class _Record:
+    """Base of the plain record classes: ``repr`` shows the ``_fields`` in
+    order, and two records of one class are equal when those fields are.
+    A record is unhashable unless its class defines ``__hash__``."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (tuple(getattr(self, name) for name in self._fields)
+                == tuple(getattr(other, name) for name in self._fields))
+
+
+class _Frozen(_Record):
+    """A record whose fields are set once, by its constructor."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        _refuse("assign to", name)
+
+    def __delattr__(self, name):
+        _refuse("delete", name)
+
+
+def _refuse(action, name):
+    # Imported here: ``dataclasses`` pulls ``inspect`` and ``ast`` into
+    # every process that imports it, and only this error path needs it.
+    from dataclasses import FrozenInstanceError
+    raise FrozenInstanceError(f"cannot {action} field {name!r}")
+
+
+class ObjectNode(_Frozen):
     """An object identified by name, state set and contained ingredients.
 
     ``motion_tag`` is the per-object flag column from the source files;
@@ -44,23 +82,27 @@ class ObjectNode:
     has ``__slots__``, so instances have no ``__dict__``.
     """
 
-    name: str
-    states: frozenset = frozenset()
-    ingredients: frozenset = frozenset()
-    motion_tag: str = field(default="", compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("name", "states", "ingredients", "motion_tag", "_hash")
+    _fields = ("name", "states", "ingredients", "motion_tag")
 
-    def __post_init__(self):
-        object.__setattr__(self, "name", _norm(self.name))
-        object.__setattr__(self, "states", frozenset(_norm(s) for s in self.states))
-        object.__setattr__(
-            self, "ingredients", frozenset(_norm(i) for i in self.ingredients)
-        )
-        if not self.name:
+    def __init__(self, name, states=frozenset(), ingredients=frozenset(), motion_tag=""):
+        name = _norm(name)
+        states = frozenset([state.strip().lower() for state in states])
+        ingredients = frozenset([item.strip().lower() for item in ingredients])
+        if not name:
             raise ValueError("object name must be non-empty")
-        _check_writable("object", self.name,
-                        (self.name, self.motion_tag, *self.states, *self.ingredients))
-        object.__setattr__(self, "_hash", hash((self.name, self.states, self.ingredients)))
+        _check_writable("object", name, (name, motion_tag, *states, *ingredients))
+        _set(self, "name", name)
+        _set(self, "states", states)
+        _set(self, "ingredients", ingredients)
+        _set(self, "motion_tag", motion_tag)
+        _set(self, "_hash", hash((name, states, ingredients)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._hash == other._hash and self.name == other.name
+                and self.states == other.states and self.ingredients == other.ingredients)
 
     def __hash__(self):
         return self._hash
@@ -71,24 +113,31 @@ class ObjectNode:
         return ObjectNode, (self.name, self.states, self.ingredients, self.motion_tag)
 
 
-@dataclass(frozen=True)
-class MotionNode:
+class MotionNode(_Frozen):
     """A motion label, optionally carrying source-video timestamps.
 
     Identity is label-only; timestamps never affect equality. A label or
     timestamp holding a tab or line break is a ValueError.
     """
 
-    label: str
-    start_time: str | None = field(default=None, compare=False)
-    end_time: str | None = field(default=None, compare=False)
+    _fields = ("label", "start_time", "end_time")
 
-    def __post_init__(self):
-        object.__setattr__(self, "label", _norm(self.label))
-        if not self.label:
+    def __init__(self, label, start_time=None, end_time=None):
+        label = _norm(label)
+        if not label:
             raise ValueError("motion label must be non-empty")
-        _check_writable("motion", self.label,
-                        (self.label, self.start_time or "", self.end_time or ""))
+        _check_writable("motion", label, (label, start_time or "", end_time or ""))
+        _set(self, "label", label)
+        _set(self, "start_time", start_time)
+        _set(self, "end_time", end_time)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.label == other.label
+
+    def __hash__(self):
+        return hash((self.label,))
 
 
 def _encode(token: str) -> str:
@@ -116,8 +165,7 @@ def object_key(obj: ObjectNode) -> str:
     )
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class FunctionalUnit:
+class FunctionalUnit(_Frozen):
     """Input objects + one motion + output objects; the atomic planning operator.
 
     A unit is its own identity: equal, and hashed alike, on input object
@@ -125,15 +173,16 @@ class FunctionalUnit:
     are tuples in the order given, which equality ignores.
     """
 
-    inputs: tuple
-    motion: MotionNode
-    outputs: tuple
+    __slots__ = ("inputs", "motion", "outputs")
+    _fields = __slots__
 
-    def __post_init__(self):
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
-        if not self.inputs or not self.outputs:
+    def __init__(self, inputs, motion, outputs):
+        inputs, outputs = tuple(inputs), tuple(outputs)
+        if not inputs or not outputs:
             raise ValueError("functional unit needs at least one input and one output")
+        _set(self, "inputs", inputs)
+        _set(self, "motion", motion)
+        _set(self, "outputs", outputs)
 
     def __eq__(self, other):
         if not isinstance(other, FunctionalUnit):
@@ -145,14 +194,22 @@ class FunctionalUnit:
     def __hash__(self):
         return hash((frozenset(self.inputs), self.motion.label, frozenset(self.outputs)))
 
+    def __reduce__(self):
+        return FunctionalUnit, (self.inputs, self.motion, self.outputs)
+
 
 class UniversalFOON:
     """Deduplicated functional units with a producing-unit index.
 
     Of equal units, the first one given is kept, as in ``Kitchen``. A
     unit's ordinal is its index in ``units``: the order given. The FOON is
-    built once, here, and only read afterwards.
+    built once, here, and only read afterwards. The searches walk it
+    through ``search_view``, which numbers objects as they are reached;
+    the FOON keeps the view of the kitchen last searched, so one command's
+    searches share one.
     """
+
+    __slots__ = ("units", "producers", "_view")
 
     def __init__(self, units=()):
         self.units: list[FunctionalUnit] = list(dict.fromkeys(units))
@@ -160,6 +217,7 @@ class UniversalFOON:
         for unit in self.units:
             for out in unit.outputs:
                 self.producers.setdefault(out, []).append(unit)
+        self._view = None
 
     def producing(self, goal: ObjectNode) -> list[FunctionalUnit]:
         """Units having ``goal`` among their outputs, in the order of ``units``.
@@ -168,8 +226,60 @@ class UniversalFOON:
         """
         return self.producers.get(goal, [])
 
+    def search_view(self, kitchen) -> SearchView:
+        """This FOON's view for ``kitchen``; the one kept is reused while
+        the same ``Kitchen`` instance is asked for (a kitchen never
+        changes)."""
+        view = self._view
+        if view is None or view.kitchen is not kitchen:
+            view = self._view = SearchView(self.producers, kitchen)
+        return view
+
     def __len__(self):
         return len(self.units)
+
+
+class SearchView:
+    """A FOON as the searches walk it for one kitchen, on integer ids.
+
+    An object gets the next id when a search first reaches it, through
+    ``intern``; ``objects[i]`` is object ``i``, the first equal instance
+    reached, and ``stocked[i]`` is 1 when it is in the kitchen. Its
+    candidates are built when it is first expanded: ``candidates[i]`` is
+    None until then, and afterwards lists ``(unit, input ids, output
+    ids)`` for each unit producing it, in FOON order. So a search that
+    reaches k objects hashes about k objects, once per view, and its loops
+    look up integers only.
+    """
+
+    __slots__ = ("kitchen", "producers", "ids", "objects", "stocked", "candidates")
+
+    def __init__(self, producers, kitchen):
+        self.kitchen = kitchen
+        self.producers = producers
+        self.ids: dict[ObjectNode, int] = {}
+        self.objects: list[ObjectNode] = []
+        self.stocked = bytearray()
+        self.candidates: list[list | None] = []
+
+    def intern(self, obj: ObjectNode) -> int:
+        number = self.ids.get(obj)
+        if number is None:
+            number = self.ids[obj] = len(self.objects)
+            self.objects.append(obj)
+            self.stocked.append(obj in self.kitchen)
+            self.candidates.append(None)
+        return number
+
+    def expand(self, number: int) -> list:
+        """``candidates[number]``, built on first use."""
+        found = self.candidates[number]
+        if found is None:
+            intern = self.intern
+            found = self.candidates[number] = [
+                (unit, tuple(map(intern, unit.inputs)), tuple(map(intern, unit.outputs)))
+                for unit in self.producers.get(self.objects[number], ())]
+        return found
 
 
 class Kitchen:
@@ -196,24 +306,23 @@ class Kitchen:
 DEFAULT_RATE = 1.0
 
 
-@dataclass
-class MotionRateTable:
+class MotionRateTable(_Record):
     """Per-motion success rates in [0, 1]; unlisted labels get ``DEFAULT_RATE``."""
 
-    rates: dict = field(default_factory=dict)
+    _fields = ("rates",)
 
-    def __post_init__(self):
-        for label, rate in self.rates.items():
+    def __init__(self, rates=None):
+        rates = {} if rates is None else rates
+        for label, rate in rates.items():
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"rate for {label!r} out of [0, 1]: {rate}")
-        self.rates = {_norm(label): rate for label, rate in self.rates.items()}
+        self.rates = {_norm(label): rate for label, rate in rates.items()}
 
     def rate(self, label: str) -> float:
         return self.rates.get(_norm(label), DEFAULT_RATE)
 
 
-@dataclass
-class SearchStats:
+class SearchStats(_Record):
     """Instrumentation counters shared by the retrieval algorithms.
 
     ``expansions`` counts candidate-unit considerations. For IDS it equals
@@ -222,8 +331,13 @@ class SearchStats:
     candidate list (once per IDS iteration that reaches it).
     """
 
-    expansions: int = 0
-    max_stack_depth: int = 0
-    depth_limit_reached: int = 0
-    per_depth_expansions: list = field(default_factory=list)
-    object_visits: dict = field(default_factory=dict)
+    _fields = ("expansions", "max_stack_depth", "depth_limit_reached",
+               "per_depth_expansions", "object_visits")
+
+    def __init__(self, expansions=0, max_stack_depth=0, depth_limit_reached=0,
+                 per_depth_expansions=None, object_visits=None):
+        self.expansions = expansions
+        self.max_stack_depth = max_stack_depth
+        self.depth_limit_reached = depth_limit_reached
+        self.per_depth_expansions = [] if per_depth_expansions is None else per_depth_expansions
+        self.object_visits = {} if object_visits is None else object_visits

@@ -15,9 +15,7 @@ identical documents emit identical bytes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .model import FunctionalUnit, Kitchen, MotionNode, MotionRateTable, ObjectNode
+from .model import FunctionalUnit, Kitchen, MotionNode, MotionRateTable, ObjectNode, _Record
 
 
 class ParseError(Exception):
@@ -29,11 +27,13 @@ class ParseError(Exception):
         self.line_number = line_number
 
 
-@dataclass
-class SubgraphDocument:
+class SubgraphDocument(_Record):
     """Functional units in file order."""
 
-    units: list = field(default_factory=list)
+    _fields = ("units",)
+
+    def __init__(self, units=None):
+        self.units = [] if units is None else units
 
 
 def _parse_ingredients(text, line_number):

@@ -12,15 +12,14 @@ from __future__ import annotations
 import enum
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
 
 from .model import (
-    FunctionalUnit,
     Kitchen,
     MotionRateTable,
     ObjectNode,
     SearchStats,
     UniversalFOON,
+    _Record,
     object_key,
 )
 
@@ -33,40 +32,48 @@ class FailureReason(enum.Enum):
     UNSATISFIED_LEAVES = "UnsatisfiedLeaves"
 
 
-@dataclass
-class TaskTree:
+class TaskTree(_Record):
     """An executable sequence of functional units yielding the goal."""
 
-    units: list
-    goal: ObjectNode
-    stats: SearchStats = field(default_factory=SearchStats)
+    _fields = ("units", "goal", "stats")
+
+    def __init__(self, units, goal, stats=None):
+        self.units = units
+        self.goal = goal
+        self.stats = SearchStats() if stats is None else stats
 
 
-@dataclass
-class SearchFailure:
-    reason: FailureReason
-    blocked_objects: list
-    stats: SearchStats = field(default_factory=SearchStats)
+class SearchFailure(_Record):
+    _fields = ("reason", "blocked_objects", "stats")
+
+    def __init__(self, reason, blocked_objects, stats=None):
+        self.reason = reason
+        self.blocked_objects = blocked_objects
+        self.stats = SearchStats() if stats is None else stats
 
 
-@dataclass
-class SearchOutcome:
+class SearchOutcome(_Record):
     """Exactly one of ``tree`` / ``failure`` is set."""
 
-    tree: TaskTree | None = None
-    failure: SearchFailure | None = None
+    _fields = ("tree", "failure")
+
+    def __init__(self, tree=None, failure=None):
+        self.tree = tree
+        self.failure = failure
 
     @property
     def ok(self) -> bool:
         return self.tree is not None
 
 
-@dataclass
-class ValidationReport:
-    ok: bool
-    position: int | None = None
-    obj: ObjectNode | None = None
-    message: str = ""
+class ValidationReport(_Record):
+    _fields = ("ok", "position", "obj", "message")
+
+    def __init__(self, ok, position=None, obj=None, message=""):
+        self.ok = ok
+        self.position = position
+        self.obj = obj
+        self.message = message
 
     def __bool__(self):
         return self.ok
@@ -109,15 +116,19 @@ def search_ids(
     the Python stack, so any ``max_depth`` is safe. A frame holds an
     iterator over its object's candidates and one over the inputs of the
     unit it is trying, so a child's result resumes the frame where it
-    stopped.
+    stopped. The DFS walks the FOON's ``SearchView`` for ``kitchen``: the
+    path, dead ends and visit counts hold object ids, and objects come
+    back only in the result.
     """
     stats = SearchStats()
-    if goal not in kitchen and not foon.producing(goal):
+    view = foon.search_view(kitchen)
+    start = view.intern(goal)
+    stocked, known, expand = view.stocked, view.candidates, view.expand
+    if not stocked[start] and not expand(start):
         return SearchOutcome(failure=SearchFailure(
             FailureReason.GOAL_UNREACHABLE, [goal], stats))
 
-    producing = foon.producing
-    visits: dict[ObjectNode, int] = {}
+    visits: dict[int, int] = {}
     deepest = 0
     solved = False
     reason = FailureReason.DEPTH_EXHAUSTED
@@ -133,27 +144,29 @@ def search_ids(
         # inputs left, mark]; the two iterators are the frame's cursors.
         emitted = []
         stack = []
-        obj = goal
+        node = start
         while True:
-            if obj is not None:
-                # Open ``obj`` at level len(stack), with budget depth - level.
-                if obj in kitchen:
+            if node is not None:
+                # Open ``node`` at level len(stack), with budget depth - level.
+                if stocked[node]:
                     ok = True
                 else:
                     ok = False
                     level = len(stack)
-                    visits[obj] = visits.get(obj, 0) + 1
+                    visits[node] = visits.get(node, 0) + 1
                     if level > deepest:
                         deepest = level
                     if level == depth:
                         depth_limit_hit = True
                     else:
-                        candidates = producing(obj)
+                        candidates = known[node]
+                        if candidates is None:
+                            candidates = expand(node)
                         if candidates:
-                            path.add(obj)
-                            stack.append([obj, iter(candidates), None, None, len(emitted)])
+                            path.add(node)
+                            stack.append([node, iter(candidates), None, None, len(emitted)])
                         else:
-                            dead_ends.add(obj)
+                            dead_ends.add(node)
             if not stack:
                 solved = ok
                 break
@@ -161,20 +174,20 @@ def search_ids(
             if not ok:
                 # The current unit failed (or none was tried yet): try the
                 # next candidate whose inputs avoid the path.
-                for unit in frame[1]:
+                for unit, inputs, _ in frame[1]:
                     expansions += 1
-                    if path.isdisjoint(unit.inputs):
+                    if path.isdisjoint(inputs):
                         break
                 else:
                     stack.pop()
                     path.discard(frame[0])
-                    obj = None
+                    node = None
                     continue
                 frame[2] = unit
-                frame[3] = iter(unit.inputs)
+                frame[3] = iter(inputs)
                 del emitted[frame[4]:]
-            obj = next(frame[3], None)
-            if obj is None:
+            node = next(frame[3], None)
+            if node is None:
                 emitted.append(frame[2])
                 stack.pop()
                 path.discard(frame[0])
@@ -187,95 +200,114 @@ def search_ids(
             # iteration can succeed: the goal is structurally unreachable.
             reason = FailureReason.GOAL_UNREACHABLE
             break
+    objects = view.objects
     stats.max_stack_depth = deepest
     stats.expansions = sum(stats.per_depth_expansions)
-    stats.object_visits = visits
+    stats.object_visits = {objects[node]: count for node, count in visits.items()}
     if solved:
         # A unit shared by several subtrees is emitted once per subtree.
         unique = {id(unit): unit for unit in emitted}
         return SearchOutcome(tree=TaskTree(list(unique.values()), goal, stats))
     return SearchOutcome(failure=SearchFailure(
-        reason, sorted(dead_ends, key=object_key) or [goal], stats))
+        reason, _sorted_objects(objects, dead_ends) or [goal], stats))
 
 
-def _dependency_sort(selected, kitchen):
+def _sorted_objects(objects, ids):
+    return sorted([objects[node] for node in ids], key=object_key)
+
+
+def _dependency_sort(selected, stocked):
     """Stable executable ordering of the greedy selection, in linear time.
 
+    ``selected`` lists ``(unit, input ids, output ids)`` in discovery
+    order, with ids and kitchen flags (``stocked``) of one ``SearchView``.
     Emits, at each step, the earliest-discovered unit whose inputs are all
     available (kitchen plus outputs of already-emitted units). This is
     Kahn's topological sort: each unit counts its input occurrences not
     in the kitchen, each such object lists the units waiting on it, and
     a min-heap holds the positions of ready units. Readiness is monotone,
     so popping the lowest ready position gives the earliest ready unit.
-    Returns (ordered units, blocked objects); blocked, the inputs of the
-    units that never became ready that are neither produced nor in the
-    kitchen, is non-empty when the selection cannot be made executable.
+    Returns (ordered units, blocked object ids); blocked, the inputs of
+    the units that never became ready that are neither produced nor in
+    the kitchen, is non-empty when the selection cannot be made executable.
     """
-    units = list(selected)
-    missing = [0] * len(units)
-    waiting: dict[ObjectNode, list[int]] = {}
-    for position, unit in enumerate(units):
-        for inp in unit.inputs:
-            if inp not in kitchen:
+    missing = [0] * len(selected)
+    waiting: dict[int, list[int]] = {}
+    for position, (_, inputs, _) in enumerate(selected):
+        for inp in inputs:
+            if not stocked[inp]:
                 missing[position] += 1
                 waiting.setdefault(inp, []).append(position)
     # Ascending, so already a heap.
     ready = [position for position, count in enumerate(missing) if not count]
     ordered = []
     while ready:
-        unit = units[heapq.heappop(ready)]
+        unit, _, outputs = selected[heapq.heappop(ready)]
         ordered.append(unit)
         # Popping releases each object once, however often it is produced;
         # what stays in ``waiting`` is never produced.
-        for out in unit.outputs:
+        for out in outputs:
             for position in waiting.pop(out, ()):
                 missing[position] -= 1
                 if not missing[position]:
                     heapq.heappush(ready, position)
-    if len(ordered) == len(units):
-        return ordered, []
-    blocked = {inp for unit, count in zip(units, missing) if count
-               for inp in unit.inputs if inp in waiting}
-    return ordered, sorted(blocked, key=object_key)
+    if len(ordered) == len(selected):
+        return ordered, set()
+    return ordered, {inp for (_, inputs, _), count in zip(selected, missing) if count
+                     for inp in inputs if inp in waiting}
 
 
 def _search_greedy(foon, goal, kitchen, selection_key) -> SearchOutcome:
+    """Forward-committing backward search: each object reached, from the
+    goal breadth-first, gets the candidate with the least
+    ``selection_key``, which takes a ``(unit, input ids, output ids)``
+    candidate of the FOON's ``SearchView`` for ``kitchen``. The visits,
+    the queue and the blocked set hold object ids; objects come back only
+    in the result."""
     stats = SearchStats()
+    view = foon.search_view(kitchen)
+    start = view.intern(goal)
+    stocked, known, expand = view.stocked, view.candidates, view.expand
     # Each object not in the kitchen is queued once, when it enters ``visits``.
-    visits: dict[ObjectNode, int] = {} if goal in kitchen else {goal: 1}
+    visits: dict[int, int] = {} if stocked[start] else {start: 1}
     queue = deque(visits)
-    # Chosen units, once each, in discovery order. One unit can be chosen
-    # for several of its outputs; a FOON holds each unit as one object.
-    selected: dict[int, FunctionalUnit] = {}
+    # Chosen candidates, once each, in discovery order. One unit can be
+    # chosen for several of its outputs; a FOON holds each unit as one object.
+    selected: dict[int, tuple] = {}
     blocked = set()
+    expansions = 0
     while queue:
         node = queue.popleft()
-        candidates = foon.producing(node)
-        stats.expansions += len(candidates)
+        candidates = known[node]
+        if candidates is None:
+            candidates = expand(node)
+        expansions += len(candidates)
         if not candidates:
             blocked.add(node)
             continue
         # Candidates are in FOON order and min keeps the first of equal
         # keys, so ties go to the earliest unit.
         best = min(candidates, key=selection_key)
-        selected.setdefault(id(best), best)
-        for inp in best.inputs:
-            if inp not in visits and inp not in kitchen:
+        selected.setdefault(id(best[0]), best)
+        for inp in best[1]:
+            if inp not in visits and not stocked[inp]:
                 visits[inp] = 1
                 queue.append(inp)
 
-    stats.per_depth_expansions = [stats.expansions]
-    stats.object_visits = visits
+    objects = view.objects
+    stats.expansions = expansions
+    stats.per_depth_expansions = [expansions]
+    stats.object_visits = {objects[node]: 1 for node in visits}
     if blocked:
-        reason = (FailureReason.GOAL_UNREACHABLE if goal in blocked
+        reason = (FailureReason.GOAL_UNREACHABLE if start in blocked
                   else FailureReason.UNSATISFIED_LEAVES)
         return SearchOutcome(failure=SearchFailure(
-            reason, sorted(blocked, key=object_key), stats))
+            reason, _sorted_objects(objects, blocked), stats))
 
-    ordered, sort_blocked = _dependency_sort(selected.values(), kitchen)
+    ordered, sort_blocked = _dependency_sort(list(selected.values()), stocked)
     if sort_blocked:
         return SearchOutcome(failure=SearchFailure(
-            FailureReason.UNSATISFIED_LEAVES, sort_blocked, stats))
+            FailureReason.UNSATISFIED_LEAVES, _sorted_objects(objects, sort_blocked), stats))
     # Kahn's sort emitted every selected unit, so the order is executable,
     # and the unit chosen for the goal produces it.
     return SearchOutcome(tree=TaskTree(ordered, goal, stats))
@@ -290,7 +322,8 @@ def search_gbfs_rate(
     """Greedy best-first retrieval choosing the candidate with the highest
     motion success rate (ties to the earliest unit)."""
     table = rates if rates is not None else MotionRateTable()
-    return _search_greedy(foon, goal, kitchen, lambda unit: -table.rate(unit.motion.label))
+    return _search_greedy(foon, goal, kitchen,
+                          lambda candidate: -table.rate(candidate[0].motion.label))
 
 
 def search_gbfs_inputs(
@@ -300,4 +333,4 @@ def search_gbfs_inputs(
 ) -> SearchOutcome:
     """Greedy best-first retrieval choosing the candidate with the fewest
     input nodes (ties to the earliest unit)."""
-    return _search_greedy(foon, goal, kitchen, lambda unit: len(unit.inputs))
+    return _search_greedy(foon, goal, kitchen, lambda candidate: len(candidate[1]))

@@ -356,6 +356,17 @@ def test_argument_errors_exit_1_on_one_line(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (lambda tmp: ["search", "--foon", tmp / "a\nb", "--goal", "ice", "--out", tmp / "tree.txt"],
+     lambda tmp: f"error: {tmp}/a\\nb: No such file or directory"),
+    (lambda tmp: ["dot", "--foon", ICE / "foon.txt", "--out", tmp / "foon.dot", "stray\narg"],
+     lambda tmp: "error: unrecognized arguments: stray\\narg"),
+], ids=["path", "stray-argument"])
+def test_line_breaks_in_an_error_message_are_escaped(tmp_path, capsys, argv, message):
+    code, stdout, stderr = run(capsys, *argv(tmp_path))
+    assert (code, stdout, stderr) == (1, "", message(tmp_path) + "\n")
+
+
 def test_search_max_depth_0_is_accepted(tmp_path, capsys):
     code, _, stderr = run(capsys, *_search(tmp_path / "tree.txt", "--max-depth", "0"))
     assert (code, stderr) == (2, "no solution: DepthExhausted\nblocked objects: ice|solid|\n")
@@ -366,6 +377,17 @@ def test_search_help_still_exits_0(capsys):
         main(["search", "--help"])
     assert exit_info.value.code == 0
     assert "--max-depth" in capsys.readouterr().out
+
+
+def test_cli_start_up_imports_neither_dataclasses_nor_inspect_nor_ast():
+    # ``dataclasses`` pulls in ``inspect`` and ``ast``, which cost every
+    # CLI process start-up time and nothing else.
+    code = ("import sys, foon.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout == "[]\n"
 
 
 # The CLI fuzz property: every command, on mutated fixture files and on
@@ -404,12 +426,14 @@ def _mutated(draw, data):
 
 
 def _value(flag, files, work, goal):
-    """A strategy for ``flag``'s value: mostly a usable one, else a broken one."""
+    """A strategy for ``flag``'s value: mostly a usable one, else a broken one;
+    for ``flag`` None, a stray argument."""
     def mostly(usable, *broken):
         return st.sampled_from([*usable] * (3 * len(broken)) + list(broken))
 
     if flag == "--out":
-        return mostly([work / "out.txt"], work, work / "missing" / "out.txt")
+        return mostly([work / "out.txt"], work, work / "missing" / "out.txt",
+                      work / "missing\n" / "out.txt")
     if flag == "--goal":
         return mostly([goal], "water;liquid", "juice;fresh;carrot", "pizza", ";bad",
                       "ice;so\tlid", "", ";;;")
@@ -417,8 +441,12 @@ def _value(flag, files, work, goal):
         return mostly(["ids", "gbfs-rate", "gbfs-inputs"], "nope", "")
     if flag == "--max-depth":
         return mostly(["0", "1", "3", "50", "99999999999999999999"], "-1", "abc", "")
+    if flag is None:
+        # A stray argument, which argparse quotes in its error.
+        return st.sampled_from(["stray", "stray\narg", "stray\rarg", "stray\u2028arg"])
     return mostly([files[flag]], *(path for other, path in files.items() if other != flag),
-                  work / "missing.txt", work)
+                  work / "missing.txt", work, work / "line\nbreak.txt",
+                  work / "carriage\rreturn.txt", work / "line\u2028separator.txt")
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -446,11 +474,15 @@ def test_cli_fuzz_exits_0_1_or_2_with_documented_stderr(command, data):
             if flag in _REQUIRED or data.draw(st.booleans(), label=flag):
                 argv += [flag, data.draw(_value(flag, files, work, goal), label=flag)]
         # Sometimes one token is dropped, which may leave a required flag
-        # or a value out, or a flag is given a second time.
+        # or a value out, a flag is given a second time, or a stray
+        # argument is inserted.
         at = data.draw(st.integers(1, len(argv)), label="edit at")
-        edit = data.draw(st.sampled_from([None, None, None, "drop", "repeat"]), label="edit")
+        edit = data.draw(st.sampled_from([None, None, None, "drop", "repeat", "stray"]),
+                         label="edit")
         if edit == "drop":
             del argv[at:at + 1]
+        elif edit == "stray":
+            argv.insert(at, data.draw(_value(None, files, work, goal), label="stray"))
         elif edit == "repeat":
             flag = data.draw(st.sampled_from(_FLAGS[command]), label="repeated")
             argv[at:at] = [flag, data.draw(_value(flag, files, work, goal), label=flag)]

@@ -164,6 +164,31 @@ def test_unit_stores_tuples_and_is_frozen():
         u.inputs = [obj("milk", "liquid")]
 
 
+def test_objects_and_motions_are_frozen_and_print_their_fields():
+    tomato, slice_ = obj("Tomato", "whole", tag="1"), MotionNode(" Slice ", "0:01")
+    for instance, field in ((tomato, "name"), (slice_, "label")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(instance, field, "x")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(instance, field)
+    assert repr(tomato) == ("ObjectNode(name='tomato', states=frozenset({'whole'}), "
+                            "ingredients=frozenset(), motion_tag='1')")
+    assert repr(slice_) == "MotionNode(label='slice', start_time='0:01', end_time=None)"
+    assert slice_ == MotionNode("slice") and hash(slice_) == hash(MotionNode("slice"))
+    assert tomato != "tomato||" and slice_ != "slice"
+
+
+def test_records_compare_field_by_field_and_are_unhashable():
+    doc = SubgraphDocument([unit([obj("water", "liquid")], "freeze", [obj("ice", "solid")])])
+    assert doc == SubgraphDocument(list(doc.units)) != SubgraphDocument()
+    assert SubgraphDocument().units == [] and SubgraphDocument().units is not doc.units
+    assert repr(MotionRateTable({"Pour": 0.5})) == "MotionRateTable(rates={'pour': 0.5})"
+    assert MotionRateTable() == MotionRateTable({})
+    for record in (doc, MotionRateTable()):
+        with pytest.raises(TypeError):
+            hash(record)
+
+
 def test_unit_requires_inputs_and_outputs():
     with pytest.raises(ValueError):
         FunctionalUnit([], MotionNode("pour"), [obj("cup")])

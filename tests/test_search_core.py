@@ -7,7 +7,8 @@ object makes, and ``ObjectNode.__eq__`` calls, which every scan of a list
 for an object makes, so they gate the complexity class without timing
 anything. The merge gate counts ``FunctionalUnit.__hash__`` calls, and
 the ingest gates count the ``ObjectNode`` and ``MotionNode`` instances
-one CLI command builds.
+one CLI command builds. The view gates count the ``SearchView``s a
+command builds and the objects a search interns.
 """
 import sys
 
@@ -28,6 +29,7 @@ from foon import (
     validate_task_tree,
 )
 from foon.cli import main
+from foon.model import SearchView
 
 import reference_search as reference
 from conftest import CORPUS_DIR, build_foon, obj, unit
@@ -162,9 +164,9 @@ def _counted(monkeypatch, cls, methods, call):
     calls = dict.fromkeys(methods, 0)
     with monkeypatch.context() as patch:
         for method in methods:
-            def counting(*args, method=method, original=getattr(cls, method)):
+            def counting(*args, method=method, original=getattr(cls, method), **kwargs):
                 calls[method] += 1
-                return original(*args)
+                return original(*args, **kwargs)
             patch.setattr(cls, method, counting)
         result = call()
     return result, list(calls.values())
@@ -203,6 +205,49 @@ def test_validation_hash_calls_linear_in_chain_length(monkeypatch):
                    _object_calls(monkeypatch, validate, *_chain(200)[:3]))
 
 
+def test_ids_hash_calls_linear_in_chain_length_while_expansions_quadruple(monkeypatch):
+    def ids(foon, goal, kitchen):
+        return search_ids(foon, goal, kitchen, max_depth=len(foon))
+
+    small, large = _chain(100)[:3], _chain(200)[:3]
+    _assert_linear(_object_calls(monkeypatch, ids, *small),
+                   _object_calls(monkeypatch, ids, *large))
+    assert [ids(*chain).tree.stats.expansions for chain in (small, large)] == [5050, 20100]
+
+
+@pytest.mark.parametrize("search", [search_ids, search_gbfs_rate, search_gbfs_inputs])
+def test_a_search_interns_the_objects_it_reaches_not_the_foon(search):
+    padding = [unit([obj(f"pad{i}", "raw")], "stir", [obj(f"pad{i}", "made")])
+               for i in range(500)]
+    _, goal, kitchen, links = _chain(5)
+    foon = build_foon(*padding, *links)
+    assert search(foon, goal, kitchen).ok
+    assert len(foon.search_view(kitchen).objects) == 6
+
+
+def _views_built(monkeypatch, argv):
+    code, [views] = _counted(monkeypatch, SearchView, ("__init__",), lambda: main(argv))
+    assert code == 0
+    return views
+
+
+def test_merge_builds_no_search_view(monkeypatch, tmp_path):
+    paths = sorted(CORPUS_DIR.glob("*.txt"))
+    assert _views_built(monkeypatch, ["merge", *map(str, paths),
+                                      "--out", str(tmp_path / "universal.txt")]) == 0
+
+
+def test_bench_builds_one_search_view(monkeypatch, tmp_path):
+    # Three goals, three algorithms each: nine searches on one view.
+    divergence = CORPUS_DIR.parent / "divergence"
+    goals = tmp_path / "goals.txt"
+    goals.write_text("juice;fresh\ncarrot;peeled\ncarrot;raw\n", encoding="utf-8")
+    argv = ["bench", "--foon", str(divergence / "foon.txt"),
+            "--kitchen", str(divergence / "kitchen.txt"),
+            "--goals", str(goals), "--out", str(tmp_path / "bench.tsv")]
+    assert _views_built(monkeypatch, argv) == 1
+
+
 def test_merge_hashes_each_unit_once(monkeypatch, corpus_docs):
     foon, [calls] = _counted(monkeypatch, FunctionalUnit, ("__hash__",),
                              lambda: merge(corpus_docs))
@@ -237,9 +282,9 @@ def test_merge_builds_one_instance_per_raw_block_and_motion_line(monkeypatch, tm
     paths = sorted(CORPUS_DIR.glob("*.txt")) * 2
     blocks, motions = _raw_blocks_and_motion_lines(p.read_text(encoding="utf-8") for p in paths)
     argv = ["merge", *map(str, paths), "--out", str(tmp_path / "universal.txt")]
-    code, [objects] = _counted(monkeypatch, ObjectNode, ("__post_init__",), lambda: main(argv))
+    code, [objects] = _counted(monkeypatch, ObjectNode, ("__init__",), lambda: main(argv))
     assert code == 0
-    _, [motion_nodes] = _counted(monkeypatch, MotionNode, ("__post_init__",), lambda: main(argv))
+    _, [motion_nodes] = _counted(monkeypatch, MotionNode, ("__init__",), lambda: main(argv))
     assert (objects, motion_nodes) == (len(blocks), len(motions))
 
 
