@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .dot import to_dot
 from .merge import merge, merge_stats
-from .model import Kitchen, MotionRateTable, object_key
+from .model import LINE_BREAKS, Kitchen, MotionRateTable, object_key
 from .parser import (
     ParseError,
     SubgraphDocument,
@@ -52,7 +52,7 @@ class _InputError(Exception):
 
 # Every line boundary of str.splitlines(): a path or an argument quoted in
 # an error message is printed with these escaped, so the message is one line.
-_LINE_BREAK = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+_LINE_BREAK = re.compile(f"[{LINE_BREAKS}]")
 
 
 class _ArgumentParser(argparse.ArgumentParser):

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import re
 
-# A tab or any line boundary of str.splitlines() inside a token would split
-# its field or its line in the text formats, so the token could not be
-# written and read back; objects and motions refuse such tokens.
-_UNWRITABLE = re.compile("[\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # those of str.splitlines()
+# A tab or line break inside a token would split its field or its line in
+# the text formats, so objects and motions refuse such tokens.
+_UNWRITABLE = re.compile(f"[\t{LINE_BREAKS}]")
 
 # Separators of the printable object key; ``_encode`` escapes them in tokens.
 _KEY_SEP = "|"
@@ -75,9 +75,9 @@ def _refuse(action, name):
 class ObjectNode(_Frozen):
     """An object identified by name, state set and contained ingredients.
 
-    ``motion_tag`` is the per-object flag column from the source files;
-    it is carried for round-trip fidelity but excluded from identity.
-    A token holding a tab or line break is a ValueError.
+    ``motion_tag`` is the per-object flag column from the source files,
+    trimmed; it is carried for round-trip fidelity but excluded from
+    identity. A token holding a tab or line break is a ValueError.
     The hash of the identity is computed once, at construction; the class
     has ``__slots__``, so instances have no ``__dict__``.
     """
@@ -87,6 +87,7 @@ class ObjectNode(_Frozen):
 
     def __init__(self, name, states=frozenset(), ingredients=frozenset(), motion_tag=""):
         name = _norm(name)
+        motion_tag = motion_tag.strip()
         states = frozenset([state.strip().lower() for state in states])
         ingredients = frozenset([item.strip().lower() for item in ingredients])
         if not name:
@@ -116,8 +117,9 @@ class ObjectNode(_Frozen):
 class MotionNode(_Frozen):
     """A motion label, optionally carrying source-video timestamps.
 
-    Identity is label-only; timestamps never affect equality. A label or
-    timestamp holding a tab or line break is a ValueError.
+    Timestamps are trimmed, and an empty one is None. Identity is
+    label-only; timestamps never affect equality. A label or timestamp
+    holding a tab or line break is a ValueError.
     """
 
     _fields = ("label", "start_time", "end_time")
@@ -126,6 +128,8 @@ class MotionNode(_Frozen):
         label = _norm(label)
         if not label:
             raise ValueError("motion label must be non-empty")
+        start_time = start_time and start_time.strip() or None
+        end_time = end_time and end_time.strip() or None
         _check_writable("motion", label, (label, start_time or "", end_time or ""))
         _set(self, "label", label)
         _set(self, "start_time", start_time)
@@ -319,7 +323,9 @@ class MotionRateTable(_Record):
         self.rates = {_norm(label): rate for label, rate in rates.items()}
 
     def rate(self, label: str) -> float:
-        return self.rates.get(_norm(label), DEFAULT_RATE)
+        # Keys and motion labels are normalised already: only a miss needs _norm.
+        rate = self.rates.get(label)
+        return self.rates.get(_norm(label), DEFAULT_RATE) if rate is None else rate
 
 
 class SearchStats(_Record):

@@ -99,13 +99,15 @@ def _object(objects, lines, numbers):
         states.append(fields[1] if len(fields) > 1 else "")
         if len(fields) > 2 and fields[2].strip():
             ingredients.update(_parse_ingredients(fields[2], number))
-    flag = head[2].strip() if len(head) > 2 else ""
-    obj = objects[key] = ObjectNode(head[1], states, ingredients, flag)
+    obj = objects[key] = ObjectNode(head[1], states, ingredients, *head[2:3])
     return obj
 
 
 def parse_subgraph(text: str, objects=None) -> SubgraphDocument:
     """Parse subgraph text into a document of functional units in file order.
+
+    Fields go as written to the ``ObjectNode`` and ``MotionNode``
+    constructors, which hold the canonical form.
 
     ``objects`` maps each raw object block (its O line and S lines, as
     written) and each raw M line to the instance built for it. Texts
@@ -129,9 +131,7 @@ def parse_subgraph(text: str, objects=None) -> SubgraphDocument:
                 fields = item.split("\t")
                 if len(fields) < 2 or not fields[1].strip():
                     raise ParseError("M line has no motion label", number)
-                start = fields[2].strip() if len(fields) > 2 and fields[2].strip() else None
-                end = fields[3].strip() if len(fields) > 3 and fields[3].strip() else None
-                motion = objects[item] = MotionNode(fields[1], start_time=start, end_time=end)
+                motion = objects[item] = MotionNode(*fields[1:4])
         elif tag == "//":
             if motion is None:
                 raise ParseError("unit ended by // has no M line", number)
@@ -155,23 +155,22 @@ def _serialize_object(obj: ObjectNode, lines):
     if obj.ingredients and not obj.states:
         # Ingredients ride on an S line, and every S line adds a state.
         raise ValueError(f"cannot serialize object {obj.name!r}: ingredients without a state")
-    if obj.motion_tag:
-        lines.append(f"O\t{obj.name}\t{obj.motion_tag}")
-    else:
-        lines.append(f"O\t{obj.name}")
-    states = sorted(obj.states)
-    ingredients = sorted(obj.ingredients)
-    for position, state in enumerate(states):
-        line = "S" if state == "" else f"S\t{state}"
-        if position == 0 and ingredients:
-            if state == "":
-                line = "S\t"
-            line += "\t{" + ",".join(ingredients) + "}"
-        lines.append(line)
+    lines.append(_line("O", obj.name, obj.motion_tag))
+    # They go on the first S line only.
+    ingredients = "{" + ",".join(sorted(obj.ingredients)) + "}" if obj.ingredients else ""
+    for state in sorted(obj.states):
+        lines.append(_line("S", state, ingredients))
+        ingredients = ""
+
+
+def _line(*fields):
+    # Empty last fields are dropped, so an empty field is written only
+    # before a field that is not; no token holds a tab.
+    return "\t".join(fields).rstrip("\t")
 
 
 def serialize_subgraph(doc: SubgraphDocument) -> str:
-    """Canonical text for a document; parsing it back reproduces the units.
+    """Canonical text for a document; parsing it back reproduces every field.
 
     Raises ValueError for what the format cannot carry: an ingredient that
     is empty or contains ',', or ingredients on an object without states.
@@ -185,12 +184,7 @@ def serialize_subgraph(doc: SubgraphDocument) -> str:
         for obj in unit.inputs:
             _serialize_object(obj, lines)
         motion = unit.motion
-        motion_line = f"M\t{motion.label}"
-        if motion.start_time is not None:
-            motion_line += f"\t{motion.start_time}"
-            if motion.end_time is not None:
-                motion_line += f"\t{motion.end_time}"
-        lines.append(motion_line)
+        lines.append(_line("M", motion.label, motion.start_time or "", motion.end_time or ""))
         for obj in unit.outputs:
             _serialize_object(obj, lines)
         lines.append("//")
@@ -224,7 +218,7 @@ def parse_rates(text: str) -> MotionRateTable:
         fields = line.split("\t")
         if len(fields) != 2:
             raise ParseError(f"expected label<TAB>rate, got {fields!r}", number)
-        label = fields[0].strip().lower()
+        label = fields[0]
         try:
             rate = float(fields[1])
         except ValueError:

@@ -15,6 +15,7 @@ from foon import (
     parse_subgraph,
     serialize_subgraph,
 )
+from foon.model import LINE_BREAKS
 
 FREEZE_UNIT = "O\twater\t1\nS\tliquid\nM\tfreeze\t0:05\t0:10\nO\tice\t0\nS\tsolid\n//\n"
 
@@ -181,6 +182,13 @@ def test_parse_rates_out_of_range():
         parse_rates("slice\t1.5\n")
 
 
+def test_rate_labels_are_normalised_by_the_table():
+    # The parser passes labels as written; an error quotes the label so.
+    assert parse_rates(" Slice \t0.5\nslice\t0.25\n").rates == {"slice": 0.25}
+    with pytest.raises(ParseError, match=r"^rate for ' Slice' out of \[0, 1\]: 1.5$"):
+        parse_rates(" Slice\t1.5\n")
+
+
 def test_parse_rates_malformed():
     with pytest.raises(ParseError, match=r"^expected label<TAB>rate, got \['slice'\]$"):
         parse_rates("slice\n")
@@ -302,3 +310,43 @@ def test_serialize_refuses_or_round_trips_api_units(specs):
         return
     parsed = parse_subgraph(text).units
     assert parsed == units
+    # Unit equality ignores flag columns and timestamps; compare every field.
+    assert [_fields(unit) for unit in parsed] == [_fields(unit) for unit in units]
+
+
+def _fields(unit):
+    objects = [(o.name, o.states, o.ingredients, o.motion_tag)
+               for o in unit.inputs + unit.outputs]
+    return objects, (unit.motion.label, unit.motion.start_time, unit.motion.end_time)
+
+
+@pytest.mark.parametrize("kwargs, line", [
+    ({"start": None, "end": "2"}, "M\tmix\t\t2"),
+    ({"start": "1", "end": None}, "M\tmix\t1"),
+    ({"start": " 1 ", "end": "\n2 "}, "M\tmix\t1\t2"),
+    ({"start": "", "end": "2"}, "M\tmix\t\t2"),
+    ({"start": " ", "end": " "}, "M\tmix"),
+])
+def test_timestamps_are_trimmed_and_an_end_time_alone_is_kept(kwargs, line):
+    unit = _api_unit(**kwargs)
+    text = serialize_subgraph(SubgraphDocument(units=[unit]))
+    assert text.splitlines()[2] == line
+    parsed = parse_subgraph(text).units[0].motion
+    assert (parsed.start_time, parsed.end_time) == (unit.motion.start_time,
+                                                   unit.motion.end_time)
+
+
+@pytest.mark.parametrize("tag, line", [(" t ", "O\tbowl\tt"), ("\u20281", "O\tbowl\t1"),
+                                       (" ", "O\tbowl"), ("", "O\tbowl")])
+def test_flag_column_is_trimmed_at_construction(tag, line):
+    unit = _api_unit(tag=tag)
+    assert unit.inputs[0].motion_tag == tag.strip()
+    text = serialize_subgraph(SubgraphDocument(units=[unit]))
+    assert text.splitlines()[0] == line
+    assert parse_subgraph(text).units[0].inputs[0].motion_tag == tag.strip()
+
+
+def test_line_breaks_are_those_str_splitlines_splits_on():
+    assert len(LINE_BREAKS) == len(set(LINE_BREAKS))
+    assert set(LINE_BREAKS) == {chr(c) for c in range(0x110000)
+                                if len(f"a{chr(c)}b".splitlines()) > 1}

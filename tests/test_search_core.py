@@ -8,7 +8,8 @@ for an object makes, so they gate the complexity class without timing
 anything. The merge gate counts ``FunctionalUnit.__hash__`` calls, and
 the ingest gates count the ``ObjectNode`` and ``MotionNode`` instances
 one CLI command builds. The view gates count the ``SearchView``s a
-command builds and the objects a search interns.
+command builds and the objects a search interns, and the rate gate the
+labels gbfs-rate normalises.
 """
 import sys
 
@@ -28,6 +29,7 @@ from foon import (
     search_ids,
     validate_task_tree,
 )
+from foon import model as foon_model
 from foon.cli import main
 from foon.model import SearchView
 
@@ -194,6 +196,31 @@ def test_gbfs_inputs_hash_calls_linear_in_fan_width(monkeypatch):
 def test_gbfs_rate_hash_calls_linear_in_chain_length(monkeypatch):
     _assert_linear(_object_calls(monkeypatch, search_gbfs_rate, *_chain(100)[:3]),
                    _object_calls(monkeypatch, search_gbfs_rate, *_chain(200)[:3]))
+
+
+def _norm_calls(monkeypatch, rates, foon, goal, kitchen):
+    """A gbfs-rate search's outcome, and how often it called ``_norm``."""
+    calls = []
+
+    def counting(token, original=foon_model._norm):
+        calls.append(token)
+        return original(token)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(foon_model, "_norm", counting)
+        outcome = search_gbfs_rate(foon, goal, kitchen, rates)
+    assert outcome.ok
+    return outcome, len(calls)
+
+
+def test_gbfs_rate_normalises_only_labels_the_table_lacks(monkeypatch):
+    instance = _fan(20)
+    # Every label listed: one dict probe per candidate, no ``_norm``.
+    outcome, calls = _norm_calls(monkeypatch, _rates(instance[0]), *instance)
+    assert calls == 0 and outcome.tree.stats.expansions == 21
+    # No label listed: each candidate's label misses once and is normalised.
+    outcome, calls = _norm_calls(monkeypatch, MotionRateTable(), *instance)
+    assert calls == outcome.tree.stats.expansions == 21
 
 
 def test_validation_hash_calls_linear_in_chain_length(monkeypatch):
