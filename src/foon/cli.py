@@ -25,6 +25,7 @@ from .retrieval import (
     search_gbfs_inputs,
     search_gbfs_rate,
     search_ids,
+    validate_task_tree,
 )
 
 EXIT_OK = 0
@@ -136,6 +137,10 @@ def cmd_search(args) -> int:
         print(f"blocked objects: {blocked}", file=sys.stderr)
         return EXIT_NO_SOLUTION
     tree = outcome.tree
+    report = validate_task_tree(tree, kitchen, goal)
+    if not report:
+        print(f"error: tree failed its own check: {report.message}", file=sys.stderr)
+        return EXIT_NO_SOLUTION
     _write(args.out, serialize_subgraph(SubgraphDocument(units=tree.units)))
     print(f"size: {len(tree.units)}")
     print(f"expansions: {tree.stats.expansions}")

@@ -19,6 +19,8 @@ _UNWRITABLE = re.compile(f"[\t{LINE_BREAKS}]")
 # Separators of the printable object key; ``_encode`` escapes them in tokens.
 _KEY_SEP = "|"
 _ITEM_SEP = ";"
+# How the key, and a goal spec, write the empty state of a bare S line.
+EMPTY_STATE = "\\e"
 
 _set = object.__setattr__
 
@@ -77,7 +79,9 @@ class ObjectNode(_Frozen):
 
     ``motion_tag`` is the per-object flag column from the source files,
     trimmed; it is carried for round-trip fidelity but excluded from
-    identity. A token holding a tab or line break is a ValueError.
+    identity. An ingredient that is empty once trimmed is dropped. What the
+    text format cannot carry is a ValueError: a tab or line break in a
+    token, a ',' in an ingredient, and ingredients on an object with no state.
     The hash of the identity is computed once, at construction; the class
     has ``__slots__``, so instances have no ``__dict__``.
     """
@@ -93,6 +97,14 @@ class ObjectNode(_Frozen):
         if not name:
             raise ValueError("object name must be non-empty")
         _check_writable("object", name, (name, motion_tag, *states, *ingredients))
+        if ingredients:
+            # The format writes them as one {a,b,...} field of the first S line.
+            ingredients -= {""}
+            for item in ingredients:
+                if "," in item:
+                    raise ValueError(f"object {name!r}: ingredient {item!r} contains ','")
+                if not states:
+                    raise ValueError(f"object {name!r}: ingredient {item!r} without a state")
         _set(self, "name", name)
         _set(self, "states", states)
         _set(self, "ingredients", ingredients)
@@ -148,7 +160,7 @@ def _encode(token: str) -> str:
     # Escape the reserved separators and mark the (legal) empty state so the
     # key stays injective: {""} must not collide with the empty set.
     if token == "":
-        return "\\e"
+        return EMPTY_STATE
     return token.replace("\\", "\\\\").replace(_KEY_SEP, "\\|").replace(_ITEM_SEP, "\\;")
 
 
@@ -310,6 +322,13 @@ class Kitchen:
 DEFAULT_RATE = 1.0
 
 
+def check_rate(label, rate):
+    """``rate``, or a ValueError naming ``label`` if it is outside [0, 1]."""
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError(f"rate for {label!r} out of [0, 1]: {rate}")
+    return rate
+
+
 class MotionRateTable(_Record):
     """Per-motion success rates in [0, 1]; unlisted labels get ``DEFAULT_RATE``."""
 
@@ -317,10 +336,7 @@ class MotionRateTable(_Record):
 
     def __init__(self, rates=None):
         rates = {} if rates is None else rates
-        for label, rate in rates.items():
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"rate for {label!r} out of [0, 1]: {rate}")
-        self.rates = {_norm(label): rate for label, rate in rates.items()}
+        self.rates = {_norm(label): check_rate(label, rate) for label, rate in rates.items()}
 
     def rate(self, label: str) -> float:
         # Keys and motion labels are normalised already: only a miss needs _norm.

@@ -15,7 +15,8 @@ identical documents emit identical bytes.
 """
 from __future__ import annotations
 
-from .model import FunctionalUnit, Kitchen, MotionNode, MotionRateTable, ObjectNode, _Record
+from .model import (EMPTY_STATE, FunctionalUnit, Kitchen, MotionNode, MotionRateTable, ObjectNode,
+                    _Record, check_rate)
 
 
 class ParseError(Exception):
@@ -34,13 +35,6 @@ class SubgraphDocument(_Record):
 
     def __init__(self, units=None):
         self.units = [] if units is None else units
-
-
-def _parse_ingredients(text, line_number):
-    text = text.strip()
-    if not (text.startswith("{") and text.endswith("}")):
-        raise ParseError(f"expected {{...}} ingredient list, got {text!r}", line_number)
-    return {part for part in text[1:-1].split(",") if part.strip()}
 
 
 def _iter_records(text):
@@ -97,8 +91,11 @@ def _object(objects, lines, numbers):
     for number, line in zip(numbers[1:], lines[1:]):
         fields = line.split("\t")
         states.append(fields[1] if len(fields) > 1 else "")
-        if len(fields) > 2 and fields[2].strip():
-            ingredients.update(_parse_ingredients(fields[2], number))
+        text = fields[2].strip() if len(fields) > 2 else ""
+        if text:
+            if not (text.startswith("{") and text.endswith("}")):
+                raise ParseError(f"expected {{...}} ingredient list, got {text!r}", number)
+            ingredients.update(text[1:-1].split(","))
     obj = objects[key] = ObjectNode(head[1], states, ingredients, *head[2:3])
     return obj
 
@@ -148,13 +145,6 @@ def parse_subgraph(text: str, objects=None) -> SubgraphDocument:
 
 
 def _serialize_object(obj: ObjectNode, lines):
-    for ingredient in obj.ingredients:
-        if not ingredient or "," in ingredient:
-            raise ValueError(f"cannot serialize object {obj.name!r}: "
-                             f"ingredient {ingredient!r} is empty or contains ','")
-    if obj.ingredients and not obj.states:
-        # Ingredients ride on an S line, and every S line adds a state.
-        raise ValueError(f"cannot serialize object {obj.name!r}: ingredients without a state")
     lines.append(_line("O", obj.name, obj.motion_tag))
     # They go on the first S line only.
     ingredients = "{" + ",".join(sorted(obj.ingredients)) + "}" if obj.ingredients else ""
@@ -172,10 +162,8 @@ def _line(*fields):
 def serialize_subgraph(doc: SubgraphDocument) -> str:
     """Canonical text for a document; parsing it back reproduces every field.
 
-    Raises ValueError for what the format cannot carry: an ingredient that
-    is empty or contains ',', or ingredients on an object without states.
-    A tab or line break in a token never gets here: building the object or
-    motion refuses it.
+    Every object and motion can be written: what the format cannot carry
+    is refused when it is built (see ``ObjectNode`` and ``MotionNode``).
     """
     if not doc.units:
         return ""
@@ -223,9 +211,10 @@ def parse_rates(text: str) -> MotionRateTable:
             rate = float(fields[1])
         except ValueError:
             raise ParseError(f"rate is not a number: {fields[1]!r}", number)
-        if not 0.0 <= rate <= 1.0:
-            raise ParseError(f"rate for {label!r} out of [0, 1]: {rate}", number)
-        rates[label] = rate
+        try:
+            rates[label] = check_rate(label, rate)
+        except ValueError as exc:
+            raise ParseError(str(exc), number) from exc
     return MotionRateTable(rates=rates)
 
 
@@ -233,21 +222,14 @@ def parse_goal(spec: str) -> ObjectNode:
     """Parse a goal spec string: ``name[;state1,state2[;ing1,ing2]]``.
 
     A state written ``\\e``, the form ``object_key`` prints, is the empty
-    state of a bare S line. A token holding a tab or line break is a
-    ParseError.
+    state of a bare S line. Fields go to the ``ObjectNode`` constructor,
+    and what it refuses is a ParseError: an empty name, a token holding a
+    tab or line break, and ingredients with no state.
     """
-    parts = spec.split(";")
-    name = parts[0].strip()
-    if not name:
-        raise ParseError("goal spec has an empty name")
-    states = set()
-    ingredients = set()
-    if len(parts) > 1:
-        states = {"" if s.strip() == "\\e" else s for s in parts[1].split(",") if s.strip()}
-    if len(parts) > 2:
-        ingredients = {i for i in parts[2].split(",") if i.strip()}
+    name, states, ingredients = (spec.split(";") + ["", ""])[:3]
+    states = {"" if s.strip() == EMPTY_STATE else s for s in states.split(",") if s.strip()}
     try:
-        return ObjectNode(name=name, states=states, ingredients=ingredients)
+        return ObjectNode(name, states, ingredients.split(","))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 

@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foon import merge, merge_stats, parse_subgraph
+from foon import SearchOutcome, TaskTree, merge, merge_stats, parse_subgraph
 from foon.cli import BENCH_HEADER, main
 
-from conftest import CORPUS_DIR, FIXTURES
+from conftest import CORPUS_DIR, FIXTURES, obj, unit
 
 ICE = FIXTURES / "ice"
 DIVERGENCE = FIXTURES / "divergence"
@@ -121,6 +121,29 @@ def test_search_goal_with_a_tab_exits_1_on_one_line(tmp_path, capsys):
     assert stderr == "error: goal: object 'ic\\te': 'ic\\te' contains a tab or line break\n"
 
 
+def test_search_goal_no_foon_file_can_hold_exits_1_on_one_line(tmp_path, capsys):
+    code, stdout, stderr = run(
+        capsys, "search", "--foon", ICE / "foon.txt", "--goal", "x;;salt",
+        "--kitchen", ICE / "kitchen.txt", "--out", tmp_path / "t.txt")
+    assert (code, stdout) == (1, "")
+    assert stderr == "error: goal: object 'x': ingredient 'salt' without a state\n"
+
+
+def test_search_tree_that_fails_its_own_check_exits_2_and_writes_nothing(
+        tmp_path, capsys, monkeypatch):
+    broken = unit([obj("snow", "cold")], "pack", [obj("ice", "solid")])
+    monkeypatch.setattr("foon.cli.search_ids", lambda foon, goal, kitchen, **kwargs:
+                        SearchOutcome(tree=TaskTree([broken], goal)))
+    out = tmp_path / "tree.txt"
+    code, stdout, stderr = run(
+        capsys, "search", "--foon", ICE / "foon.txt", "--goal", "ice;solid",
+        "--kitchen", ICE / "kitchen.txt", "--out", out)
+    assert (code, stdout) == (2, "")
+    assert stderr == ("error: tree failed its own check: "
+                      "input 'snow|cold|' of unit 0 is not available\n")
+    assert not out.exists()
+
+
 def test_search_missing_file_exits_1(tmp_path, capsys):
     code, _, stderr = run(
         capsys, "search", "--foon", tmp_path / "nope.txt", "--goal", "x",
@@ -194,7 +217,7 @@ def test_bench_bad_goal_line_exits_1_naming_the_line(tmp_path, capsys):
         capsys, "bench", "--foon", ICE / "foon.txt", "--kitchen", ICE / "kitchen.txt",
         "--goals", goals, "--out", out)
     assert (code, stdout) == (1, "")
-    assert stderr == f"error: {goals}:4: goal spec has an empty name\n"
+    assert stderr == f"error: {goals}:4: object name must be non-empty\n"
     assert not out.exists()
 
 

@@ -31,6 +31,8 @@ from conftest import build_foon, obj, unit
 names = st.sampled_from(["bowl", "tomato", "knife", "pan", "egg", "water"])
 tokens = st.sampled_from(["whole", "sliced", "raw", "cooked", "empty", ""])
 token_sets = st.frozensets(tokens, max_size=3)
+# An object with ingredients needs a state to write them on.
+state_sets = st.frozensets(tokens, min_size=1, max_size=3)
 
 
 def test_object_key_empty_sets():
@@ -55,8 +57,10 @@ def test_object_key_normalizes_case_and_whitespace():
 
 
 def test_object_name_required():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^object name must be non-empty$"):
         ObjectNode("   ")
+    with pytest.raises(ValueError, match="^motion label must be non-empty$"):
+        MotionNode("   ")
 
 
 def test_motion_identity_label_only():
@@ -70,7 +74,7 @@ def test_objects_and_motions_accept_breaks_that_normalizing_strips():
     assert MotionNode("\tfreeze\n") == MotionNode("freeze")
 
 
-@given(name=names, states=token_sets, ings=token_sets, perm_seed=st.integers(0, 100))
+@given(name=names, states=state_sets, ings=token_sets, perm_seed=st.integers(0, 100))
 def test_object_key_constant_over_permutations(name, states, ings, perm_seed):
     import random
 
@@ -95,7 +99,7 @@ def test_object_key_injective_over_identities(n1, s1, n2, s2):
 object_nodes = st.builds(
     ObjectNode,
     name=names,
-    states=token_sets,
+    states=state_sets,
     ingredients=token_sets,
     motion_tag=st.sampled_from(["", "0", "1"]),
 )
@@ -160,6 +164,7 @@ def test_unit_stores_tuples_and_is_frozen():
     u = FunctionalUnit([obj("water", "liquid")], MotionNode("freeze"), [obj("ice", "solid")])
     assert u.inputs == (obj("water", "liquid"),)
     assert u.outputs == (obj("ice", "solid"),)
+    assert u != (u.inputs, u.motion, u.outputs)
     with pytest.raises(dataclasses.FrozenInstanceError):
         u.inputs = [obj("milk", "liquid")]
 
@@ -184,6 +189,7 @@ def test_records_compare_field_by_field_and_are_unhashable():
     assert SubgraphDocument().units == [] and SubgraphDocument().units is not doc.units
     assert repr(MotionRateTable({"Pour": 0.5})) == "MotionRateTable(rates={'pour': 0.5})"
     assert MotionRateTable() == MotionRateTable({})
+    assert MotionRateTable() != {} and doc != doc.units
     for record in (doc, MotionRateTable()):
         with pytest.raises(TypeError):
             hash(record)

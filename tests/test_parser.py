@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from foon import (
     FunctionalUnit,
     MotionNode,
+    MotionRateTable,
     ObjectNode,
     ParseError,
     SubgraphDocument,
@@ -178,8 +181,12 @@ def test_parse_rates_empty():
 
 
 def test_parse_rates_out_of_range():
-    with pytest.raises(ParseError, match=r"^rate for 'slice' out of \[0, 1\]: 1.5$"):
-        parse_rates("slice\t1.5\n")
+    with pytest.raises(ParseError, match=r"^rate for 'slice' out of \[0, 1\]: 1.5$") as err:
+        parse_rates("pour\t0.5\nslice\t1.5\n")
+    assert err.value.line_number == 2
+    # The table owns the rule; the parser only adds the line number.
+    with pytest.raises(ValueError, match=r"^rate for 'slice' out of \[0, 1\]: -0.5$"):
+        MotionRateTable({"slice": -0.5})
 
 
 def test_rate_labels_are_normalised_by_the_table():
@@ -210,10 +217,19 @@ def test_parse_goal_empty_state_marker():
     assert parse_goal("spoon;\\e") == ObjectNode("spoon", frozenset({""}))
 
 
+def test_parse_goal_refuses_what_no_foon_file_can_hold():
+    # Ingredients ride on an S line, so a goal with ingredients needs a state.
+    with pytest.raises(ParseError) as err:
+        parse_goal("x;;salt")
+    assert (err.value.line_number, str(err.value)) == (
+        None, "object 'x': ingredient 'salt' without a state")
+    assert parse_goal("x;\\e;salt, ,") == ObjectNode("x", {""}, {"salt"})
+
+
 def test_parse_goal_empty_name():
     with pytest.raises(ParseError) as err:
         parse_goal(";mixed")
-    assert (err.value.line_number, str(err.value)) == (None, "goal spec has an empty name")
+    assert (err.value.line_number, str(err.value)) == (None, "object name must be non-empty")
 
 
 def test_parse_goals_skips_blank_and_comment_lines():
@@ -226,7 +242,7 @@ def test_parse_goals_skips_blank_and_comment_lines():
 def test_parse_goals_error_carries_line_number():
     with pytest.raises(ParseError) as err:
         parse_goals("ice\n# comment\n\n;bad\n")
-    assert (err.value.line_number, str(err.value)) == (4, "goal spec has an empty name")
+    assert (err.value.line_number, str(err.value)) == (4, "object name must be non-empty")
 
 
 def _api_unit(name="bowl", states=("full",), ingredients=(), tag="", label="mix",
@@ -236,6 +252,10 @@ def _api_unit(name="bowl", states=("full",), ingredients=(), tag="", label="mix"
                           [ObjectNode("salad", frozenset({"mixed"}))])
 
 
+# The messages of what the constructors refuse because the format cannot carry it.
+_REFUSED = "contains a tab or line break|contains ','|without a state"
+
+
 @pytest.mark.parametrize("kwargs, token", [
     ({"name": "x\ty"}, "'x\\ty'"),
     ({"states": ["a\nb"]}, "'a\\nb'"),
@@ -243,17 +263,27 @@ def _api_unit(name="bowl", states=("full",), ingredients=(), tag="", label="mix"
     ({"tag": "1\r0"}, "'1\\r0'"),
     ({"label": "stir\x1cwell"}, "'stir\\x1cwell'"),
     ({"ingredients": ["salt,pepper"]}, "'salt,pepper'"),
-    ({"ingredients": [" "]}, "''"),
+    ({"states": [], "ingredients": [" ", " Salt "]}, "'salt'"),
     ({"states": [], "ingredients": ["salt"]}, "without a state"),
 ])
 def test_serialize_refuses_what_the_format_cannot_carry(kwargs, token):
-    # The unit is built inside the ``raises`` block: a tab or line break is
-    # refused when its object or motion is built (see ``test_model``), the
-    # other cases by the serializer.
-    with pytest.raises(ValueError, match="cannot serialize|contains a tab or line break") \
-            as caught:
+    # The unit is built inside the ``raises`` block: building its object or
+    # motion refuses what the format cannot carry, so the serializer never
+    # sees it.
+    with pytest.raises(ValueError, match=_REFUSED) as caught:
         serialize_subgraph(SubgraphDocument(units=[_api_unit(**kwargs)]))
     assert token in str(caught.value)
+
+
+def test_empty_ingredients_are_dropped():
+    # The parser reads {salt, ,} as {salt}; the constructor owns that rule,
+    # so an object built with an empty ingredient round-trips too.
+    made = _api_unit(ingredients=[" ", "", "Salt"])
+    assert made.inputs[0].ingredients == frozenset({"salt"})
+    assert _api_unit(states=[], ingredients=[" "]).inputs[0].ingredients == frozenset()
+    assert parse_subgraph(serialize_subgraph(SubgraphDocument(units=[made]))).units == [made]
+    text = "O\tbowl\nS\tfull\t{salt, ,}\nM\tmix\nO\tsalad\nS\tmixed\n//\n"
+    assert parse_subgraph(text).units == [made]
 
 
 # Tab and every character str.splitlines() breaks a line at.
@@ -300,15 +330,11 @@ def test_serialize_refuses_or_round_trips_api_units(specs):
     try:
         units = [_build_unit(*spec) for spec in specs]
     except ValueError as exc:
-        # Only a tab or line break stops an object or motion being built.
-        assert "contains a tab or line break" in str(exc)
+        # Only what the format cannot carry stops an object or motion being built.
+        assert re.search(_REFUSED, str(exc))
         return
-    try:
-        text = serialize_subgraph(SubgraphDocument(units=units))
-    except ValueError as exc:
-        assert "cannot serialize" in str(exc)
-        return
-    parsed = parse_subgraph(text).units
+    # Every unit that can be built is written, and reads back field for field.
+    parsed = parse_subgraph(serialize_subgraph(SubgraphDocument(units=units))).units
     assert parsed == units
     # Unit equality ignores flag columns and timestamps; compare every field.
     assert [_fields(unit) for unit in parsed] == [_fields(unit) for unit in units]
