@@ -25,6 +25,7 @@ from .retrieval import (
     FailureReason,
     SearchOutcome,
     TaskTree,
+    derivation_depths,
     search_gbfs_inputs,
     search_gbfs_rate,
     search_ids,
@@ -44,6 +45,7 @@ __all__ = [
     "SubgraphDocument",
     "TaskTree",
     "UniversalFOON",
+    "derivation_depths",
     "merge",
     "merge_stats",
     "object_key",

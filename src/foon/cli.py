@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import re
 import sys
 import time
@@ -47,8 +48,12 @@ ALGORITHMS = {
 }
 
 
-class _InputError(Exception):
-    pass
+class _Error(Exception):
+    """A one-line error: ``main`` prints it and exits with ``code``."""
+
+    def __init__(self, message, code=EXIT_INPUT_ERROR):
+        super().__init__(message)
+        self.code = code
 
 
 # Every line boundary of str.splitlines(): a path or an argument quoted in
@@ -60,7 +65,7 @@ class _ArgumentParser(argparse.ArgumentParser):
     """Reports a usage error as an input error: one line, exit 1."""
 
     def error(self, message):
-        raise _InputError(message)
+        raise _Error(message)
 
 
 def _max_depth(text):
@@ -77,23 +82,23 @@ def _read(path) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise _InputError(f"{path}: {exc.strerror or exc}")
+        raise _Error(f"{path}: {exc.strerror or exc}")
     except UnicodeDecodeError as exc:
-        raise _InputError(f"{path}: not UTF-8 text: {exc}")
+        raise _Error(f"{path}: not UTF-8 text: {exc}")
 
 
 def _write(path, text):
     try:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise _InputError(f"{path}: {exc.strerror or exc}")
+        raise _Error(f"{path}: {exc.strerror or exc}")
 
 
 def _parse_file(path, parse_fn, *args):
     try:
         return parse_fn(_read(path), *args)
     except ParseError as exc:
-        raise _InputError(f"{path}:{exc.line_number}: {exc}")
+        raise _Error(f"{path}:{exc.line_number}: {exc}")
 
 
 # Each command reads its files with one table of raw blocks and M lines
@@ -123,13 +128,27 @@ def cmd_merge(args) -> int:
     return EXIT_OK
 
 
+def _search(algo, goal, foon, kitchen, rates, max_depth, where=""):
+    """(outcome, milliseconds) of one search, timed alone; a tree that fails
+    ``validate_task_tree`` is an exit-2 error whose message ``where`` leads."""
+    started = time.perf_counter()
+    outcome = ALGORITHMS[algo](foon, goal, kitchen, rates, max_depth)
+    elapsed_ms = (time.perf_counter() - started) * 1000.0
+    if outcome.ok:
+        report = validate_task_tree(outcome.tree, kitchen, goal)
+        if not report:
+            raise _Error(f"{where}tree failed its own check: {report.message}",
+                         EXIT_NO_SOLUTION)
+    return outcome, elapsed_ms
+
+
 def cmd_search(args) -> int:
     foon, kitchen, rates = _load(args)
     try:
         goal = parse_goal(args.goal)
     except ParseError as exc:
-        raise _InputError(f"goal: {exc}")
-    outcome = ALGORITHMS[args.algo](foon, goal, kitchen, rates, args.max_depth)
+        raise _Error(f"goal: {exc}")
+    outcome, _ = _search(args.algo, goal, foon, kitchen, rates, args.max_depth)
     if not outcome.ok:
         failure = outcome.failure
         blocked = ", ".join(object_key(obj) for obj in failure.blocked_objects)
@@ -137,10 +156,6 @@ def cmd_search(args) -> int:
         print(f"blocked objects: {blocked}", file=sys.stderr)
         return EXIT_NO_SOLUTION
     tree = outcome.tree
-    report = validate_task_tree(tree, kitchen, goal)
-    if not report:
-        print(f"error: tree failed its own check: {report.message}", file=sys.stderr)
-        return EXIT_NO_SOLUTION
     _write(args.out, serialize_subgraph(SubgraphDocument(units=tree.units)))
     print(f"size: {len(tree.units)}")
     print(f"expansions: {tree.stats.expansions}")
@@ -152,10 +167,9 @@ def cmd_search(args) -> int:
 def _bench_goal(spec, goal, foon, kitchen, rates, max_depth):
     sizes, times, expansions = [], [], []
     any_success = False
-    for search in ALGORITHMS.values():
-        started = time.perf_counter()
-        outcome = search(foon, goal, kitchen, rates, max_depth)
-        elapsed_ms = (time.perf_counter() - started) * 1000.0
+    for algo in ALGORITHMS:
+        outcome, elapsed_ms = _search(algo, goal, foon, kitchen, rates, max_depth,
+                                      f"goal {spec!r}, {algo}: ")
         times.append(f"{elapsed_ms:.3f}")
         stats = outcome.tree.stats if outcome.ok else outcome.failure.stats
         expansions.append(str(stats.expansions))
@@ -229,13 +243,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # What a command reads in holds no reference cycles: pause the collector.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except _InputError as exc:
+    except _Error as exc:
         message = _LINE_BREAK.sub(lambda match: repr(match.group())[1:-1], str(exc))
         print(f"error: {message}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return exc.code
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

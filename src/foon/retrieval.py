@@ -10,6 +10,7 @@ they can fail on instances IDS solves.
 from __future__ import annotations
 
 import enum
+import functools
 import heapq
 from collections import deque
 
@@ -18,6 +19,7 @@ from .model import (
     MotionRateTable,
     ObjectNode,
     SearchStats,
+    SearchView,
     UniversalFOON,
     _Record,
     object_key,
@@ -216,45 +218,56 @@ def _sorted_objects(objects, ids):
     return sorted([objects[node] for node in ids], key=object_key)
 
 
-def _dependency_sort(selected, stocked):
-    """Stable executable ordering of the greedy selection, in linear time.
+def _forward_chain(rules, stocked):
+    """Linear forward chaining (Dowling & Gallier, 1984) on ``SearchView`` ids.
 
-    ``selected`` lists ``(unit, input ids, output ids)`` in discovery
-    order, with ids and kitchen flags (``stocked``) of one ``SearchView``.
-    Emits, at each step, the earliest-discovered unit whose inputs are all
-    available (kitchen plus outputs of already-emitted units). This is
-    Kahn's topological sort: each unit counts its input occurrences not
-    in the kitchen, each such object lists the units waiting on it, and
-    a min-heap holds the positions of ready units. Readiness is monotone,
-    so popping the lowest ready position gives the earliest ready unit.
-    Returns (ordered units, blocked object ids); blocked, the inputs of
-    the units that never became ready that are neither produced nor in
-    the kitchen, is non-empty when the selection cannot be made executable.
+    Each rule ``(unit, input ids, output ids)`` counts its inputs not
+    ``stocked``, and each such object lists the rules waiting on it.
+    Returns the rules ready at the start (positions, ascending); ``waiting``,
+    where the objects never released stay; and ``release(objects, fire)``,
+    which releases each object once and calls ``fire`` on each rule it readies.
     """
-    missing = [0] * len(selected)
+    missing = [0] * len(rules)
     waiting: dict[int, list[int]] = {}
-    for position, (_, inputs, _) in enumerate(selected):
+    for position, (_, inputs, _) in enumerate(rules):
         for inp in inputs:
             if not stocked[inp]:
                 missing[position] += 1
                 waiting.setdefault(inp, []).append(position)
-    # Ascending, so already a heap.
-    ready = [position for position, count in enumerate(missing) if not count]
-    ordered = []
-    while ready:
-        unit, _, outputs = selected[heapq.heappop(ready)]
-        ordered.append(unit)
-        # Popping releases each object once, however often it is produced;
-        # what stays in ``waiting`` is never produced.
-        for out in outputs:
-            for position in waiting.pop(out, ()):
+
+    def release(objects, fire):
+        for obj in objects:
+            for position in waiting.pop(obj, ()):
                 missing[position] -= 1
                 if not missing[position]:
-                    heapq.heappush(ready, position)
-    if len(ordered) == len(selected):
-        return ordered, set()
-    return ordered, {inp for (_, inputs, _), count in zip(selected, missing) if count
-                     for inp in inputs if inp in waiting}
+                    fire(position)
+
+    return [position for position, count in enumerate(missing) if not count], waiting, release
+
+
+def derivation_depths(foon: UniversalFOON, kitchen: Kitchen) -> dict[ObjectNode, int]:
+    """Every object derivable from ``kitchen``, with its depth: 0 for a
+    kitchen item, else one more than the deepest input of its shallowest
+    producer. ``search_ids`` succeeds exactly when the goal's depth is at
+    most ``max_depth``. Chains level by level on a ``SearchView`` of its
+    own, so the view the searches share is left as it was."""
+    view = SearchView(foon.producers, kitchen)
+    intern, objects = view.intern, view.objects
+    rules = [(unit, tuple(map(intern, unit.inputs)), tuple(map(intern, unit.outputs)))
+             for unit in foon.units]
+    depths = dict.fromkeys(kitchen.items, 0)
+    level, _, release = _forward_chain(rules, view.stocked)
+    depth = 0
+    while level:
+        depth += 1
+        following = []
+        for position in level:
+            outputs = rules[position][2]
+            for out in outputs:
+                depths.setdefault(objects[out], depth)
+            release(outputs, following.append)
+        level = following
+    return depths
 
 
 def _search_greedy(foon, goal, kitchen, selection_key) -> SearchOutcome:
@@ -304,12 +317,22 @@ def _search_greedy(foon, goal, kitchen, selection_key) -> SearchOutcome:
         return SearchOutcome(failure=SearchFailure(
             reason, _sorted_objects(objects, blocked), stats))
 
-    ordered, sort_blocked = _dependency_sort(list(selected.values()), stocked)
-    if sort_blocked:
+    # Forward chaining orders the selection, firing the earliest-discovered
+    # ready unit first: readiness is monotone, so a min-heap of positions
+    # finds it. Objects never released block the selection.
+    chosen = list(selected.values())
+    ready, waiting, release = _forward_chain(chosen, stocked)
+    fire = functools.partial(heapq.heappush, ready)
+    ordered = []
+    while ready:
+        unit, _, outputs = chosen[heapq.heappop(ready)]
+        ordered.append(unit)
+        release(outputs, fire)
+    if waiting:
         return SearchOutcome(failure=SearchFailure(
-            FailureReason.UNSATISFIED_LEAVES, _sorted_objects(objects, sort_blocked), stats))
-    # Kahn's sort emitted every selected unit, so the order is executable,
-    # and the unit chosen for the goal produces it.
+            FailureReason.UNSATISFIED_LEAVES, _sorted_objects(objects, waiting), stats))
+    # Every selected unit fired, so the order is executable, and the unit
+    # chosen for the goal produces it.
     return SearchOutcome(tree=TaskTree(ordered, goal, stats))
 
 

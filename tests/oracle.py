@@ -18,7 +18,7 @@ from foon.model import (
     ObjectNode,
     UniversalFOON,
 )
-from foon.retrieval import TaskTree
+from foon.retrieval import TaskTree, derivation_depths
 
 DEFAULT_NODE_BUDGET = 10**6
 
@@ -29,21 +29,6 @@ _MOTION_LABELS = (
 
 class BudgetExceeded(Exception):
     """Enumeration surpassed the configured node budget."""
-
-
-def _derivable_keys(units, kitchen):
-    """Fixpoint closure: every object derivable from the kitchen."""
-    available = set(kitchen.items)
-    remaining = list(units)
-    changed = True
-    while changed and remaining:
-        changed = False
-        for unit in list(remaining):
-            if all(inp in available for inp in unit.inputs):
-                available.update(unit.outputs)
-                remaining.remove(unit)
-                changed = True
-    return available
 
 
 def _execution_order(subset, kitchen):
@@ -86,8 +71,10 @@ def oracle_search(
     if goal in kitchen:
         return TaskTree([], goal)
     # If the goal is not derivable with every unit available, no subset
-    # can derive it either; skip the exponential enumeration.
-    if goal not in _derivable_keys(foon.units, kitchen):
+    # can derive it either; skip the exponential enumeration. This filter
+    # is the package's own forward chaining; the enumeration and
+    # ``_execution_order`` below stay independent of it.
+    if goal not in derivation_depths(foon, kitchen):
         return None
 
     limit = len(foon) if max_units is None else min(max_units, len(foon))

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foon import SearchOutcome, TaskTree, merge, merge_stats, parse_subgraph
+from foon import SearchOutcome, TaskTree, merge, merge_stats, parse_subgraph, search_ids
 from foon.cli import BENCH_HEADER, main
 
 from conftest import CORPUS_DIR, FIXTURES, obj, unit
@@ -234,6 +235,21 @@ def test_bench_goal_line_with_a_tab_exits_1_naming_the_line(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bench_tree_that_fails_its_own_check_exits_2_and_writes_nothing(
+        tmp_path, capsys, monkeypatch):
+    broken = unit([obj("snow", "cold")], "pack", [obj("ice", "solid")])
+    monkeypatch.setattr("foon.cli.search_gbfs_rate", lambda foon, goal, kitchen, rates:
+                        SearchOutcome(tree=TaskTree([broken], goal)))
+    out = tmp_path / "bench.tsv"
+    code, stdout, stderr = run(
+        capsys, "bench", "--foon", ICE / "foon.txt", "--kitchen", ICE / "kitchen.txt",
+        "--goals", ICE / "goals.txt", "--out", out)
+    assert (code, stdout) == (2, "")
+    assert stderr == ("error: goal 'ice;solid', gbfs-rate: tree failed its own check: "
+                      "input 'snow|cold|' of unit 0 is not available\n")
+    assert not out.exists()
+
+
 def test_dot_empty_tree(tmp_path, capsys):
     empty = tmp_path / "empty.txt"
     empty.write_text("")
@@ -400,6 +416,32 @@ def test_search_help_still_exits_0(capsys):
         main(["search", "--help"])
     assert exit_info.value.code == 0
     assert "--max-depth" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_a_command_pauses_the_collector_and_restores_the_callers_setting(
+        tmp_path, capsys, monkeypatch, collecting):
+    during = []
+
+    def spy(*args, **kwargs):
+        during.append(gc.isenabled())
+        return search_ids(*args, **kwargs)
+
+    monkeypatch.setattr("foon.cli.search_ids", spy)
+    before = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        codes, after = [], []
+        for extra in ((), ("--max-depth", "abc")):
+            codes.append(run(capsys, *_search(tmp_path / "tree.txt", *extra))[0])
+            after.append(gc.isenabled())
+        with pytest.raises(SystemExit):
+            main(["search", "--help"])
+        after.append(gc.isenabled())
+    finally:
+        (gc.enable if before else gc.disable)()
+    assert (codes, during) == ([0, 1], [False])
+    assert after == [collecting] * 3
 
 
 def test_cli_start_up_imports_neither_dataclasses_nor_inspect_nor_ast():

@@ -3,6 +3,7 @@ import pytest
 from foon import (
     Kitchen,
     MotionRateTable,
+    derivation_depths,
     search_gbfs_inputs,
     search_gbfs_rate,
     search_ids,
@@ -208,6 +209,35 @@ def test_ids_solvability_matches_oracle(seed):
     reference = oracle_search(foon, goal, kitchen)
     outcome = search_ids(foon, goal, kitchen, max_depth=12)
     assert outcome.ok == (reference is not None)
+
+
+def test_depths_of_a_chain_count_its_links(chain):
+    foon, _, kitchen, units = chain
+    links = [units[0].inputs[0]] + [u.outputs[0] for u in units]
+    assert derivation_depths(foon, kitchen) == dict(zip(links, [0, 1, 2, 3]))
+
+
+def test_depth_of_an_object_is_its_shallowest_producers():
+    base, mid, goal = obj("base", "raw"), obj("mid", "made"), obj("goal", "done")
+    foon = build_foon(unit([base], "chop", [mid]), unit([mid], "mix", [goal]),
+                      unit([base], "blend", [goal]))
+    assert derivation_depths(foon, Kitchen([base])) == {base: 0, mid: 1, goal: 1}
+
+
+def test_depths_of_a_cycle_fed_from_the_kitchen():
+    base, a, b = obj("base", "raw"), obj("a", "made"), obj("b", "made")
+    foon = build_foon(unit([a], "mix", [b]), unit([b], "mix", [a]), unit([base], "chop", [a]))
+    assert derivation_depths(foon, Kitchen([base])) == {base: 0, a: 1, b: 2}
+    # Without its feed, the cycle derives nothing.
+    assert derivation_depths(foon, Kitchen()) == {}
+
+
+def test_depths_hold_every_kitchen_item_and_no_underivable_object():
+    base, spare, mid = obj("base", "raw"), obj("spare", "raw"), obj("mid", "made")
+    stuck, after = obj("stuck", "made"), obj("after", "made")
+    foon = build_foon(unit([base], "chop", [mid]), unit([mid, stuck], "mix", [after]))
+    # ``spare`` is in no unit of the FOON.
+    assert derivation_depths(foon, Kitchen([base, spare])) == {base: 0, spare: 0, mid: 1}
 
 
 def test_determinism_repeated_runs(chain):

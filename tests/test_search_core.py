@@ -9,9 +9,11 @@ anything. The merge gate counts ``FunctionalUnit.__hash__`` calls, and
 the ingest gates count the ``ObjectNode`` and ``MotionNode`` instances
 one CLI command builds. The view gates count the ``SearchView``s a
 command builds and the objects a search interns, and the rate gate the
-labels gbfs-rate normalises.
+labels gbfs-rate normalises. The depth property checks IDS's verdicts
+against ``derivation_depths`` on FOONs far past the subset oracle's reach.
 """
 import sys
+from collections import Counter
 
 import pytest
 
@@ -22,6 +24,7 @@ from foon import (
     MotionRateTable,
     ObjectNode,
     TaskTree,
+    derivation_depths,
     merge,
     object_key,
     search_gbfs_inputs,
@@ -240,6 +243,45 @@ def test_ids_hash_calls_linear_in_chain_length_while_expansions_quadruple(monkey
     _assert_linear(_object_calls(monkeypatch, ids, *small),
                    _object_calls(monkeypatch, ids, *large))
     assert [ids(*chain).tree.stats.expansions for chain in (small, large)] == [5050, 20100]
+
+
+def test_derivation_depth_hash_calls_linear_in_chain_length(monkeypatch):
+    def depths(foon, goal, kitchen):
+        found, calls = _counted(monkeypatch, ObjectNode, ("__hash__", "__eq__"),
+                                lambda: derivation_depths(foon, kitchen))
+        assert found[goal] == len(foon)
+        return calls
+
+    _assert_linear(depths(*_chain(100)[:3]), depths(*_chain(200)[:3]))
+
+
+# (max_units, kitchen_fraction, seeds): small FOONs, and FOONs of up to
+# 1,500 units, far past the subset oracle's reach. ``max_depth`` stays at
+# 8 or below: IDS's work on shared subgoals grows with the bound.
+DEPTH_CASES = [(40, 0.6, range(60)), (200, 0.8, range(30)), (1500, 0.8, range(16))]
+
+
+def test_ids_succeeds_exactly_when_the_goal_is_within_its_derivation_depth():
+    verdicts, large = Counter(), 0
+    for max_units, kitchen_fraction, seeds in DEPTH_CASES:
+        for seed in seeds:
+            foon, goal, kitchen = generate_instance(GeneratorConfig(
+                max_units=max_units, max_branching=4, max_inputs_per_unit=3,
+                kitchen_fraction=kitchen_fraction, seed=seed))
+            large += len(foon) >= 500
+            depth = derivation_depths(foon, kitchen).get(goal)
+            for max_depth in (4, 8):
+                outcome = search_ids(foon, goal, kitchen, max_depth)
+                case = (max_units, seed, max_depth, depth)
+                assert outcome.ok == (depth is not None and depth <= max_depth), case
+                if outcome.ok:
+                    assert outcome.tree.stats.depth_limit_reached == depth, case
+                verdicts[outcome.ok, depth is None] += 1
+            for search in (search_gbfs_rate, search_gbfs_inputs):
+                assert depth is not None or not search(foon, goal, kitchen).ok
+    assert sum(verdicts.values()) >= 200 and large >= 10, (verdicts, large)
+    # Solved, too deep for the bound, and underivable: every verdict occurs.
+    assert len(verdicts) == 3, verdicts
 
 
 @pytest.mark.parametrize("search", [search_ids, search_gbfs_rate, search_gbfs_inputs])
