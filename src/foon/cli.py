@@ -213,24 +213,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_merge.add_argument("--out", required=True, help="output path for the merged FOON")
     p_merge.set_defaults(func=cmd_merge)
 
-    p_search = sub.add_parser("search", help="retrieve a task tree for a goal object")
-    p_search.add_argument("--foon", required=True, help="universal FOON file")
-    p_search.add_argument("--goal", required=True,
-                          help="goal spec: name[;states[;ingredients]]")
-    p_search.add_argument("--kitchen", help="kitchen file (default: empty kitchen)")
-    p_search.add_argument("--algo", default="ids",
-                          choices=ALGORITHMS)
-    p_search.add_argument("--rates", help="motion success-rate file")
-    p_search.add_argument("--max-depth", type=_max_depth, default=DEFAULT_MAX_DEPTH)
+    searching = argparse.ArgumentParser(add_help=False)  # options of search and bench
+    searching.add_argument("--foon", required=True, help="universal FOON file")
+    searching.add_argument("--kitchen", help="kitchen file (default: empty kitchen)")
+    searching.add_argument("--rates", help="motion success-rate file (default: every rate 1.0)")
+    searching.add_argument("--max-depth", type=_max_depth, default=DEFAULT_MAX_DEPTH,
+                           help="deepest bound IDS tries (default: %(default)s)")
+
+    p_search = sub.add_parser("search", parents=[searching],
+                              help="retrieve a task tree for a goal object")
+    p_search.add_argument("--goal", required=True, help="goal spec: name[;states[;ingredients]]")
+    p_search.add_argument("--algo", default="ids", choices=ALGORITHMS,
+                          help="search algorithm (default: %(default)s)")
     p_search.add_argument("--out", required=True, help="output path for the task tree")
     p_search.set_defaults(func=cmd_search)
 
-    p_bench = sub.add_parser("bench", help="compare the three algorithms over a goal list")
-    p_bench.add_argument("--foon", required=True)
-    p_bench.add_argument("--kitchen")
+    p_bench = sub.add_parser("bench", parents=[searching],
+                             help="compare the three algorithms over a goal list")
     p_bench.add_argument("--goals", required=True, help="file with one goal spec per line")
-    p_bench.add_argument("--rates")
-    p_bench.add_argument("--max-depth", type=_max_depth, default=DEFAULT_MAX_DEPTH)
     p_bench.add_argument("--out", required=True, help="output TSV path")
     p_bench.set_defaults(func=cmd_bench)
 

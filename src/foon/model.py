@@ -262,10 +262,9 @@ class SearchView:
     ``intern``; ``objects[i]`` is object ``i``, the first equal instance
     reached, and ``stocked[i]`` is 1 when it is in the kitchen. Its
     candidates are built when it is first expanded: ``candidates[i]`` is
-    None until then, and afterwards lists ``(unit, input ids, output
-    ids)`` for each unit producing it, in FOON order. So a search that
-    reaches k objects hashes about k objects, once per view, and its loops
-    look up integers only.
+    None until then, and afterwards the ``rules`` of the units producing
+    it, in FOON order. So a search that reaches k objects hashes about k
+    objects, once per view, and its loops look up integers only.
     """
 
     __slots__ = ("kitchen", "producers", "ids", "objects", "stocked", "candidates")
@@ -287,14 +286,18 @@ class SearchView:
             self.candidates.append(None)
         return number
 
+    def rules(self, units) -> list:
+        """``(unit, input ids, output ids)`` for each of ``units``, in order."""
+        intern = self.intern
+        return [(unit, tuple(map(intern, unit.inputs)), tuple(map(intern, unit.outputs)))
+                for unit in units]
+
     def expand(self, number: int) -> list:
         """``candidates[number]``, built on first use."""
         found = self.candidates[number]
         if found is None:
-            intern = self.intern
-            found = self.candidates[number] = [
-                (unit, tuple(map(intern, unit.inputs)), tuple(map(intern, unit.outputs)))
-                for unit in self.producers.get(self.objects[number], ())]
+            producers = self.producers.get(self.objects[number], ())
+            found = self.candidates[number] = self.rules(producers)
         return found
 
 
@@ -347,8 +350,8 @@ class MotionRateTable(_Record):
 class SearchStats(_Record):
     """Instrumentation counters shared by the retrieval algorithms.
 
-    ``expansions`` counts candidate-unit considerations. For IDS it equals
-    the sum of ``per_depth_expansions``. ``object_visits`` counts, per
+    ``expansions`` counts candidate-unit considerations, the sum of
+    ``per_depth_expansions``. ``object_visits`` counts, per
     ``ObjectNode``, how many times the search expanded that object's
     candidate list (once per IDS iteration that reaches it).
     """

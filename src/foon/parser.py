@@ -224,8 +224,11 @@ def parse_goal(spec: str) -> ObjectNode:
     A state written ``\\e``, the form ``object_key`` prints, is the empty
     state of a bare S line. Fields go to the ``ObjectNode`` constructor,
     and what it refuses is a ParseError: an empty name, a token holding a
-    tab or line break, and ingredients with no state.
+    tab or line break, and ingredients with no state; so is a fourth field.
     """
+    if spec.count(";") > 2:
+        raise ParseError(f"goal spec {spec!r} has {spec.count(';') + 1} ';'-separated "
+                         "fields, at most 3")
     name, states, ingredients = (spec.split(";") + ["", ""])[:3]
     states = {"" if s.strip() == EMPTY_STATE else s for s in states.split(",") if s.strip()}
     try:

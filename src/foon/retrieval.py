@@ -112,7 +112,7 @@ def search_ids(
     an object is solved if it is in the kitchen, otherwise each producing
     unit is tried in FOON order, solving every input with budget
     d - 1 (first success wins). Units are emitted post-order (dependencies
-    first) and deduplicated. The set of in-progress objects on the DFS
+    first), each once. The set of in-progress objects on the DFS
     path is one mutable set per iteration, so cyclic knowledge cannot
     loop the search. The DFS runs on an explicit stack of frames, not on
     the Python stack, so any ``max_depth`` is safe. A frame holds an
@@ -126,34 +126,31 @@ def search_ids(
     view = foon.search_view(kitchen)
     start = view.intern(goal)
     stocked, known, expand = view.stocked, view.candidates, view.expand
-    if not stocked[start] and not expand(start):
-        return SearchOutcome(failure=SearchFailure(
-            FailureReason.GOAL_UNREACHABLE, [goal], stats))
-
     visits: dict[int, int] = {}
+    if not stocked[start] and not expand(start):
+        return _outcome(view, goal, stats, visits, FailureReason.GOAL_UNREACHABLE)
+
     deepest = 0
-    solved = False
     reason = FailureReason.DEPTH_EXHAUSTED
+    # ``emitted`` maps id(unit) to unit for every solved subtree's units,
+    # post-order, each once; a frame's subtree is what came after its
+    # ``mark``. A frame is [object, its candidates left, the unit being
+    # tried, that unit's inputs left, mark]; the iterators are its cursors.
+    dead_ends, emitted = set(), {}
     for depth in range(max_depth + 1):
         stats.depth_limit_reached = depth
-        dead_ends = set()
+        dead_ends.clear()
+        emitted.clear()
         depth_limit_hit = False
         expansions = 0
         path = set()
-        # ``emitted`` holds the post-order units of every solved subtree;
-        # a frame's subtree is the slice from its ``mark``. A frame is
-        # [object, its candidates left, the unit being tried, that unit's
-        # inputs left, mark]; the two iterators are the frame's cursors.
-        emitted = []
         stack = []
         node = start
         while True:
             if node is not None:
                 # Open ``node`` at level len(stack), with budget depth - level.
-                if stocked[node]:
-                    ok = True
-                else:
-                    ok = False
+                ok = stocked[node]
+                if not ok:
                     level = len(stack)
                     visits[node] = visits.get(node, 0) + 1
                     if level > deepest:
@@ -170,7 +167,6 @@ def search_ids(
                         else:
                             dead_ends.add(node)
             if not stack:
-                solved = ok
                 break
             frame = stack[-1]
             if not ok:
@@ -187,35 +183,39 @@ def search_ids(
                     continue
                 frame[2] = unit
                 frame[3] = iter(inputs)
-                del emitted[frame[4]:]
+                # Drop, newest first, what the failed candidates added.
+                while len(emitted) > frame[4]:
+                    emitted.popitem()
             node = next(frame[3], None)
             if node is None:
-                emitted.append(frame[2])
+                emitted[id(frame[2])] = frame[2]
                 stack.pop()
                 path.discard(frame[0])
                 ok = True
         stats.per_depth_expansions.append(expansions)
-        if solved:
+        if ok:
+            reason = None
             break
         if not depth_limit_hit:
             # The failure did not touch the depth bound, so no deeper
             # iteration can succeed: the goal is structurally unreachable.
             reason = FailureReason.GOAL_UNREACHABLE
             break
-    objects = view.objects
     stats.max_stack_depth = deepest
+    return _outcome(view, goal, stats, visits, reason, list(emitted.values()), dead_ends)
+
+
+def _outcome(view, goal, stats, visits, reason, units=(), blocked=()):
+    """What every search returns: the tree of ``units`` if ``reason`` is
+    None, else a failure on the ``blocked`` ids (in ``object_key`` order) or
+    the goal. ``stats`` gets the expansions' sum and ``visits`` as objects."""
+    objects = view.objects
     stats.expansions = sum(stats.per_depth_expansions)
     stats.object_visits = {objects[node]: count for node, count in visits.items()}
-    if solved:
-        # A unit shared by several subtrees is emitted once per subtree.
-        unique = {id(unit): unit for unit in emitted}
-        return SearchOutcome(tree=TaskTree(list(unique.values()), goal, stats))
-    return SearchOutcome(failure=SearchFailure(
-        reason, _sorted_objects(objects, dead_ends) or [goal], stats))
-
-
-def _sorted_objects(objects, ids):
-    return sorted([objects[node] for node in ids], key=object_key)
+    if reason is None:
+        return SearchOutcome(tree=TaskTree(units, goal, stats))
+    blocked = sorted([objects[node] for node in blocked], key=object_key)
+    return SearchOutcome(failure=SearchFailure(reason, blocked or [goal], stats))
 
 
 def _forward_chain(rules, stocked):
@@ -252,9 +252,7 @@ def derivation_depths(foon: UniversalFOON, kitchen: Kitchen) -> dict[ObjectNode,
     most ``max_depth``. Chains level by level on a ``SearchView`` of its
     own, so the view the searches share is left as it was."""
     view = SearchView(foon.producers, kitchen)
-    intern, objects = view.intern, view.objects
-    rules = [(unit, tuple(map(intern, unit.inputs)), tuple(map(intern, unit.outputs)))
-             for unit in foon.units]
+    objects, rules = view.objects, view.rules(foon.units)
     depths = dict.fromkeys(kitchen.items, 0)
     level, _, release = _forward_chain(rules, view.stocked)
     depth = 0
@@ -307,15 +305,11 @@ def _search_greedy(foon, goal, kitchen, selection_key) -> SearchOutcome:
                 visits[inp] = 1
                 queue.append(inp)
 
-    objects = view.objects
-    stats.expansions = expansions
     stats.per_depth_expansions = [expansions]
-    stats.object_visits = {objects[node]: 1 for node in visits}
     if blocked:
         reason = (FailureReason.GOAL_UNREACHABLE if start in blocked
                   else FailureReason.UNSATISFIED_LEAVES)
-        return SearchOutcome(failure=SearchFailure(
-            reason, _sorted_objects(objects, blocked), stats))
+        return _outcome(view, goal, stats, visits, reason, blocked=blocked)
 
     # Forward chaining orders the selection, firing the earliest-discovered
     # ready unit first: readiness is monotone, so a min-heap of positions
@@ -329,11 +323,11 @@ def _search_greedy(foon, goal, kitchen, selection_key) -> SearchOutcome:
         ordered.append(unit)
         release(outputs, fire)
     if waiting:
-        return SearchOutcome(failure=SearchFailure(
-            FailureReason.UNSATISFIED_LEAVES, _sorted_objects(objects, waiting), stats))
+        return _outcome(view, goal, stats, visits, FailureReason.UNSATISFIED_LEAVES,
+                        blocked=waiting)
     # Every selected unit fired, so the order is executable, and the unit
     # chosen for the goal produces it.
-    return SearchOutcome(tree=TaskTree(ordered, goal, stats))
+    return _outcome(view, goal, stats, visits, None, ordered)
 
 
 def search_gbfs_rate(

@@ -130,6 +130,17 @@ def test_search_goal_no_foon_file_can_hold_exits_1_on_one_line(tmp_path, capsys)
     assert stderr == "error: goal: object 'x': ingredient 'salt' without a state\n"
 
 
+def test_search_goal_with_four_fields_exits_1_on_one_line(tmp_path, capsys):
+    out = tmp_path / "t.txt"
+    code, stdout, stderr = run(
+        capsys, "search", "--foon", ICE / "foon.txt", "--goal", "ice;solid;salt;pepper",
+        "--kitchen", ICE / "kitchen.txt", "--out", out)
+    assert (code, stdout) == (1, "")
+    assert stderr == ("error: goal: goal spec 'ice;solid;salt;pepper' has 4 "
+                      "';'-separated fields, at most 3\n")
+    assert not out.exists()
+
+
 def test_search_tree_that_fails_its_own_check_exits_2_and_writes_nothing(
         tmp_path, capsys, monkeypatch):
     broken = unit([obj("snow", "cold")], "pack", [obj("ice", "solid")])
@@ -232,6 +243,19 @@ def test_bench_goal_line_with_a_tab_exits_1_naming_the_line(tmp_path, capsys):
     assert (code, stdout) == (1, "")
     assert stderr == (f"error: {goals}:2: object 'ice': 'so\\tlid' contains a tab or "
                       "line break\n")
+    assert not out.exists()
+
+
+def test_bench_goal_line_with_four_fields_exits_1_naming_the_line(tmp_path, capsys):
+    goals = tmp_path / "goals.txt"
+    goals.write_text("ice;solid\n\nice;solid;salt;pepper\n")
+    out = tmp_path / "bench.tsv"
+    code, stdout, stderr = run(
+        capsys, "bench", "--foon", ICE / "foon.txt", "--kitchen", ICE / "kitchen.txt",
+        "--goals", goals, "--out", out)
+    assert (code, stdout) == (1, "")
+    assert stderr == (f"error: {goals}:3: goal spec 'ice;solid;salt;pepper' has 4 "
+                      "';'-separated fields, at most 3\n")
     assert not out.exists()
 
 
@@ -416,6 +440,21 @@ def test_search_help_still_exits_0(capsys):
         main(["search", "--help"])
     assert exit_info.value.code == 0
     assert "--max-depth" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["search", "bench"])
+def test_help_describes_the_options_search_and_bench_share(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for option, words in (("--foon FOON", "universal FOON file"),
+                          ("--kitchen KITCHEN", "kitchen file"),
+                          ("--rates RATES", "motion success-rate file"),
+                          ("--max-depth MAX_DEPTH", "deepest bound IDS tries (default: 50)")):
+        [at] = [n for n, line in enumerate(lines) if line.lstrip().startswith(option)]
+        # argparse puts the description after the option, or on the next line.
+        assert words in " ".join(lines[at:at + 2]), (option, lines)
 
 
 @pytest.mark.parametrize("collecting", [True, False])

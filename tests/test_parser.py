@@ -232,6 +232,16 @@ def test_parse_goal_empty_name():
     assert (err.value.line_number, str(err.value)) == (None, "object name must be non-empty")
 
 
+def test_parse_goal_refuses_more_than_three_fields():
+    with pytest.raises(ParseError) as err:
+        parse_goal("ice;solid;salt;pepper")
+    assert (err.value.line_number, str(err.value)) == (
+        None, "goal spec 'ice;solid;salt;pepper' has 4 ';'-separated fields, at most 3")
+    with pytest.raises(ParseError) as err:
+        parse_goals("ice\nice;solid;;\n")
+    assert err.value.line_number == 2
+
+
 def test_parse_goals_skips_blank_and_comment_lines():
     goals = parse_goals("# goals\n\n  ice;solid  \n  # not a goal\nspoon;\\e\n")
     assert goals == [("ice;solid", parse_goal("ice;solid")),

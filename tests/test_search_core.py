@@ -13,6 +13,7 @@ labels gbfs-rate normalises. The depth property checks IDS's verdicts
 against ``derivation_depths`` on FOONs far past the subset oracle's reach.
 """
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -127,7 +128,7 @@ def test_searches_match_reference_on_shared_subgoals(levels, slack):
 
 
 @pytest.mark.parametrize("base_in_kitchen", [True, False])
-@pytest.mark.parametrize("max_depth", [0, 1, 2, 3, 5])
+@pytest.mark.parametrize("max_depth", [-1, 0, 1, 2, 3, 5])
 def test_searches_match_reference_on_a_cycle_with_an_escape(base_in_kitchen, max_depth):
     # x <- y <- x, listed before the escape x <- base, so IDS meets the
     # cycle first at every depth.
@@ -139,6 +140,36 @@ def test_searches_match_reference_on_a_cycle_with_an_escape(base_in_kitchen, max
         _assert_same_as_reference(foon, goal, kitchen, _rates(foon), max_depth)
         assert search_ids(foon, goal, kitchen, max_depth).ok == (
             base_in_kitchen and max_depth >= height)
+
+
+def test_ids_with_a_negative_bound_fails_as_the_reference_does(chain):
+    foon, goal, kitchen, _ = chain
+    outcome = search_ids(foon, goal, kitchen, max_depth=-1)
+    assert _summary(outcome) == _summary(reference.search_ids(foon, goal, kitchen, -1))
+    assert (outcome.failure.reason.value, outcome.failure.blocked_objects) == (
+        "DepthExhausted", [goal])
+
+
+def _ids_peak_bytes(foon, goal, kitchen, levels):
+    """The ``tracemalloc`` peak of one IDS search, the view built before."""
+    foon.search_view(kitchen)
+    tracemalloc.start()
+    try:
+        outcome = search_ids(foon, goal, kitchen, levels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert outcome.ok
+    return peak
+
+
+def test_ids_space_on_shared_subgoals_grows_with_the_tree_not_its_paths():
+    # The unfolded tree of a ladder doubles with every level, but the task
+    # tree holds 2 units per level: IDS keeps each unit once, so four more
+    # levels may not double its peak.
+    ladders = {levels: _ladder(levels) for levels in (10, 14)}
+    peaks = {levels: _ids_peak_bytes(*ladder, levels) for levels, ladder in ladders.items()}
+    assert peaks[14] <= 2 * peaks[10], peaks
 
 
 def _chain(length):
