@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import re
 import sys
 import time
@@ -32,6 +33,7 @@ from .retrieval import (
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_NO_SOLUTION = 2
+EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE: what a shell reports when SIGPIPE ends a process
 
 BENCH_HEADER = "goal\tids\th1\th2\tids_ms\th1_ms\th2_ms\tids_exp\th1_exp\th2_exp"
 
@@ -130,15 +132,18 @@ def cmd_merge(args) -> int:
 
 def _search(algo, goal, foon, kitchen, rates, max_depth, where=""):
     """(outcome, milliseconds) of one search, timed alone; a tree that fails
-    ``validate_task_tree`` is an exit-2 error whose message ``where`` leads."""
+    ``validate_task_tree`` or holds a unit that is not the FOON's own (by
+    identity) is an exit-2 error whose message ``where`` leads."""
     started = time.perf_counter()
     outcome = ALGORITHMS[algo](foon, goal, kitchen, rates, max_depth)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     if outcome.ok:
         report = validate_task_tree(outcome.tree, kitchen, goal)
-        if not report:
-            raise _Error(f"{where}tree failed its own check: {report.message}",
-                         EXIT_NO_SOLUTION)
+        foreign = [position for position, unit in enumerate(outcome.tree.units)
+                   if all(unit is not known for known in foon.producing(unit.outputs[0]))]
+        if not report or foreign:
+            message = report.message or f"unit {foreign[0]} is not one of the FOON's units"
+            raise _Error(f"{where}tree failed its own check: {message}", EXIT_NO_SOLUTION)
     return outcome, elapsed_ms
 
 
@@ -248,11 +253,23 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        print(end="", flush=True)  # so that stdout fails here, if at all, not at exit
+        return code
     except _Error as exc:
         message = _LINE_BREAK.sub(lambda match: repr(match.group())[1:-1], str(exc))
         print(f"error: {message}", file=sys.stderr)
         return exc.code
+    except BrokenPipeError:
+        # The reader left, as ``head`` does: stdout goes to devnull (the Python
+        # docs' note on SIGPIPE), so that the interpreter's flush at exit is quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_STDOUT
+    except OSError as exc:  # ``_read`` and ``_write`` turn the files' errors into ``_Error``
+        print(f"error: stdout: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     finally:
         if collecting:
             gc.enable()

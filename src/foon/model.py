@@ -16,11 +16,11 @@ LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # those of str.splitlines(
 # the text formats, so objects and motions refuse such tokens.
 _UNWRITABLE = re.compile(f"[\t{LINE_BREAKS}]")
 
-# Separators of the printable object key; ``_encode`` escapes them in tokens.
-_KEY_SEP = "|"
-_ITEM_SEP = ";"
-# How the key, and a goal spec, write the empty state of a bare S line.
-EMPTY_STATE = "\\e"
+# An object's one text form, the goal spec ``name;state,...;ingredient,...``:
+# ``object_key`` writes it and ``parse_goal`` reads it. In a token, ESCAPE
+# goes before ESCAPE and each separator, and EMPTY_STATE is the empty state.
+FIELD_SEP, ITEM_SEP, ESCAPE = ";", ",", "\\"
+EMPTY_STATE = ESCAPE + "e"
 
 _set = object.__setattr__
 
@@ -157,28 +157,24 @@ class MotionNode(_Frozen):
 
 
 def _encode(token: str) -> str:
-    # Escape the reserved separators and mark the (legal) empty state so the
-    # key stays injective: {""} must not collide with the empty set.
+    # Escape the separators and mark the (legal) empty state so the key
+    # stays injective: {""} must not collide with the empty set.
     if token == "":
         return EMPTY_STATE
-    return token.replace("\\", "\\\\").replace(_KEY_SEP, "\\|").replace(_ITEM_SEP, "\\;")
+    return (token.replace(ESCAPE, ESCAPE + ESCAPE).replace(FIELD_SEP, ESCAPE + FIELD_SEP)
+            .replace(ITEM_SEP, ESCAPE + ITEM_SEP))
 
 
 def object_key(obj: ObjectNode) -> str:
-    """Printable, sortable form of an object's identity.
+    """The goal spec of an object, which ``parse_goal`` reads back.
 
     Equal keys iff equal objects: name, sorted states, sorted
     ingredients; motion_tag is deliberately excluded. Lookups use the
     ``ObjectNode`` itself; this string is for output, messages and a
     stable sort order.
     """
-    return _KEY_SEP.join(
-        (
-            _encode(obj.name),
-            _ITEM_SEP.join(_encode(s) for s in sorted(obj.states)),
-            _ITEM_SEP.join(_encode(i) for i in sorted(obj.ingredients)),
-        )
-    )
+    return FIELD_SEP.join((_encode(obj.name), ITEM_SEP.join(map(_encode, sorted(obj.states))),
+                           ITEM_SEP.join(map(_encode, sorted(obj.ingredients)))))
 
 
 class FunctionalUnit(_Frozen):

@@ -15,8 +15,16 @@ identical documents emit identical bytes.
 """
 from __future__ import annotations
 
-from .model import (EMPTY_STATE, FunctionalUnit, Kitchen, MotionNode, MotionRateTable, ObjectNode,
-                    _Record, check_rate)
+import re
+
+from .model import (EMPTY_STATE, ESCAPE, FIELD_SEP, ITEM_SEP, FunctionalUnit, Kitchen, MotionNode,
+                    MotionRateTable, ObjectNode, _Record, check_rate)
+
+# A goal spec's parts: a separator, an escape (ESCAPE and the character
+# after it, if any) or a run of other characters; and what each escape stands for.
+_SPEC_PARTS = re.compile("[{1}{2}]|{0}.?|[^{0}{1}{2}]+".format(
+    re.escape(ESCAPE), FIELD_SEP, ITEM_SEP), re.DOTALL)
+_UNESCAPED = {ESCAPE + char: char for char in (ESCAPE, FIELD_SEP, ITEM_SEP)} | {EMPTY_STATE: ""}
 
 
 class ParseError(Exception):
@@ -219,20 +227,32 @@ def parse_rates(text: str) -> MotionRateTable:
 
 
 def parse_goal(spec: str) -> ObjectNode:
-    """Parse a goal spec string: ``name[;state1,state2[;ing1,ing2]]``.
-
-    A state written ``\\e``, the form ``object_key`` prints, is the empty
-    state of a bare S line. Fields go to the ``ObjectNode`` constructor,
-    and what it refuses is a ParseError: an empty name, a token holding a
-    tab or line break, and ingredients with no state; so is a fourth field.
+    """Parse a goal spec, ``name[;state1,state2[;ing1,ing2]]``, the form
+    ``object_key`` prints. In a token, ``\\\\``, ``\\;`` and ``\\,`` stand for
+    the character escaped and ``\\e`` for none, so a state written ``\\e``
+    is the empty state of a bare S line. A ',' in the name field is part of
+    the name. A fourth field, any other escape and what the ``ObjectNode``
+    constructor refuses are each a ParseError.
     """
-    if spec.count(";") > 2:
-        raise ParseError(f"goal spec {spec!r} has {spec.count(';') + 1} ';'-separated "
+    fields = [[[]]]  # each field's items, each a list of its parts, unescaped
+    for part in _SPEC_PARTS.findall(spec):
+        if part == FIELD_SEP:
+            fields.append([[]])
+        elif part == ITEM_SEP:
+            fields[-1].append([])
+        elif part[0] != ESCAPE or part in _UNESCAPED:
+            fields[-1][-1].append(_UNESCAPED.get(part, part))
+        else:
+            raise ParseError(f"goal spec {spec!r} has an unknown escape {part!r}")
+    if len(fields) > 3:
+        raise ParseError(f"goal spec {spec!r} has {len(fields)} {FIELD_SEP!r}-separated "
                          "fields, at most 3")
-    name, states, ingredients = (spec.split(";") + ["", ""])[:3]
-    states = {"" if s.strip() == EMPTY_STATE else s for s in states.split(",") if s.strip()}
+    name, states, ingredients = fields + [[]] * (3 - len(fields))
     try:
-        return ObjectNode(name, states, ingredients.split(","))
+        # A state written blank is none; an escape is not blank ("".isspace() is False).
+        return ObjectNode(ITEM_SEP.join(map("".join, name)),
+                          ["".join(state) for state in states if not all(map(str.isspace, state))],
+                          map("".join, ingredients))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 

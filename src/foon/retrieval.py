@@ -92,7 +92,7 @@ def validate_task_tree(tree: TaskTree, kitchen: Kitchen, goal: ObjectNode) -> Va
             if obj not in produced and obj not in kitchen:
                 return ValidationReport(
                     False, position, obj,
-                    f"input {object_key(obj)!r} of unit {position} is not available",
+                    f"input '{object_key(obj)}' of unit {position} is not available",
                 )
         produced.update(unit.outputs)
     if goal not in produced and goal not in kitchen:

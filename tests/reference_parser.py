@@ -4,10 +4,14 @@
 unchanged from ``foon.parser`` as it stood before both parsers read
 object blocks through one generator, with one edit: ``parse_subgraph``
 no longer takes a source path to pass through to the document, since
-``SubgraphDocument`` no longer carries one. ``tests/test_parser_reference.py``
-asserts that the current parsers return the same units, or raise the same
-exception with the same line number and message, as these. Do not edit
-them to follow the library; they are the reference.
+``SubgraphDocument`` no longer carries one. ``parse_goal`` is copied
+unchanged from ``foon.parser`` as it stood before goal specs took
+backslash escapes, with the empty-state marker written out, since it was
+imported from ``foon.model``. ``tests/test_parser_reference.py`` asserts
+that the current parsers return the same units, or raise the same
+exception with the same line number and message, as these (``parse_goal``
+on specs without a backslash). Do not edit them to follow the library;
+they are the reference.
 """
 from __future__ import annotations
 
@@ -140,3 +144,25 @@ def parse_kitchen(text: str) -> Kitchen:
     if block is not None:
         items.append(block.build())
     return Kitchen(items)
+
+
+EMPTY_STATE = "\\e"
+
+
+def parse_goal(spec: str) -> ObjectNode:
+    """Parse a goal spec string: ``name[;state1,state2[;ing1,ing2]]``.
+
+    A state written ``\\e``, the form ``object_key`` prints, is the empty
+    state of a bare S line. Fields go to the ``ObjectNode`` constructor,
+    and what it refuses is a ParseError: an empty name, a token holding a
+    tab or line break, and ingredients with no state; so is a fourth field.
+    """
+    if spec.count(";") > 2:
+        raise ParseError(f"goal spec {spec!r} has {spec.count(';') + 1} ';'-separated "
+                         "fields, at most 3")
+    name, states, ingredients = (spec.split(";") + ["", ""])[:3]
+    states = {"" if s.strip() == EMPTY_STATE else s for s in states.split(",") if s.strip()}
+    try:
+        return ObjectNode(name, states, ingredients.split(","))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import gc
 import io
 import os
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foon import SearchOutcome, TaskTree, merge, merge_stats, parse_subgraph, search_ids
-from foon.cli import BENCH_HEADER, main
+from foon import (SearchOutcome, TaskTree, merge, merge_stats, parse_goal, parse_subgraph,
+                  search_ids)
+from foon.cli import BENCH_HEADER, EXIT_CLOSED_STDOUT, main
 
 from conftest import CORPUS_DIR, FIXTURES, obj, unit
 
@@ -152,8 +154,40 @@ def test_search_tree_that_fails_its_own_check_exits_2_and_writes_nothing(
         "--kitchen", ICE / "kitchen.txt", "--out", out)
     assert (code, stdout) == (2, "")
     assert stderr == ("error: tree failed its own check: "
-                      "input 'snow|cold|' of unit 0 is not available\n")
+                      "input 'snow;cold;' of unit 0 is not available\n")
     assert not out.exists()
+
+
+def test_search_tree_with_a_unit_not_of_the_foon_exits_2_and_writes_nothing(
+        tmp_path, capsys, monkeypatch):
+    # Equal to the FOON's one unit, so the tree is valid, but not that unit.
+    [twin] = parse_subgraph((ICE / "foon.txt").read_text()).units
+    monkeypatch.setattr("foon.cli.search_ids", lambda foon, goal, kitchen, **kwargs:
+                        SearchOutcome(tree=TaskTree([twin], goal)))
+    out = tmp_path / "tree.txt"
+    code, stdout, stderr = run(
+        capsys, "search", "--foon", ICE / "foon.txt", "--goal", "ice;solid",
+        "--kitchen", ICE / "kitchen.txt", "--out", out)
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: tree failed its own check: unit 0 is not one of the FOON's units\n"
+    assert not out.exists()
+
+
+def test_a_blocked_object_pastes_back_as_the_goal(tmp_path, capsys):
+    # A name and a state holding the separators, and the empty state.
+    foon = tmp_path / "foon.txt"
+    foon.write_text("O\tpep,per\nS\nM\tgrind\nO\tsalt;pepper mix\nS\tground, fine\n//\n")
+    code, _, stderr = run(capsys, "search", "--foon", foon, "--goal",
+                          "salt\\;pepper mix;ground\\, fine", "--out", tmp_path / "t.txt")
+    assert (code, stderr) == (2, "no solution: GoalUnreachable\n"
+                                 "blocked objects: pep\\,per;\\e;\n")
+    [entry] = stderr.splitlines()[1].removeprefix("blocked objects: ").split(", ")
+    kitchen = tmp_path / "kitchen.txt"
+    kitchen.write_text("O\tpep,per\nS\n")
+    code, stdout, _ = run(capsys, "search", "--foon", foon, "--goal", entry,
+                          "--kitchen", kitchen, "--out", tmp_path / "t.txt")
+    assert (code, stdout.splitlines()[0]) == (0, "size: 0")
+    assert parse_goal(entry) == parse_subgraph(foon.read_text()).units[0].inputs[0]
 
 
 def test_search_missing_file_exits_1(tmp_path, capsys):
@@ -270,7 +304,7 @@ def test_bench_tree_that_fails_its_own_check_exits_2_and_writes_nothing(
         "--goals", ICE / "goals.txt", "--out", out)
     assert (code, stdout) == (2, "")
     assert stderr == ("error: goal 'ice;solid', gbfs-rate: tree failed its own check: "
-                      "input 'snow|cold|' of unit 0 is not available\n")
+                      "input 'snow;cold;' of unit 0 is not available\n")
     assert not out.exists()
 
 
@@ -396,6 +430,55 @@ def test_unwritable_out_exits_1(tmp_path, capsys, command):
     assert stderr.startswith(f"error: {out}: ")
 
 
+class _FullStdout(io.TextIOBase):
+    """A stdout on a full device: writing any text raises ENOSPC."""
+
+    def write(self, text):
+        if text:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return 0
+
+
+@contextlib.contextmanager
+def _stdout(kind):
+    """A stdout for ``main``: a buffer (``kind`` None), a full device, or a
+    buffered pipe whose reader has left, as ``head -1``'s does once it has
+    read its line."""
+    if kind != "closed pipe":
+        yield _FullStdout() if kind == "full" else io.StringIO()
+        return
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w", encoding="utf-8") as stdout:
+        yield stdout
+
+
+def _run_with_stdout(kind, argv):
+    """``main``'s exit code and stderr with ``kind`` of stdout."""
+    stderr = io.StringIO()
+    with _stdout(kind) as stdout:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([str(arg) for arg in argv])
+        if code == EXIT_CLOSED_STDOUT:
+            # stdout now takes text, as the interpreter's flush at exit needs.
+            print("more", file=stdout, flush=True)
+    return code, stderr.getvalue()
+
+
+@pytest.mark.parametrize("command", ["merge", "search", "bench"])
+def test_a_closed_stdout_pipe_exits_141_quietly(tmp_path, command):
+    out = tmp_path / "out.txt"
+    assert _run_with_stdout("closed pipe", _argv(command, ICE / "foon.txt", out)) == (
+        EXIT_CLOSED_STDOUT, "")
+    assert out.exists()
+
+
+@pytest.mark.parametrize("command", ["merge", "search", "bench"])
+def test_a_failing_stdout_exits_1_on_one_line(tmp_path, command):
+    assert _run_with_stdout("full", _argv(command, ICE / "foon.txt", tmp_path / "out.txt")) == (
+        1, "error: stdout: No space left on device\n")
+
+
 def _search(out, *extra):
     return ["search", "--foon", ICE / "foon.txt", "--goal", "ice;solid",
             "--kitchen", ICE / "kitchen.txt", *extra, "--out", out]
@@ -432,7 +515,7 @@ def test_line_breaks_in_an_error_message_are_escaped(tmp_path, capsys, argv, mes
 
 def test_search_max_depth_0_is_accepted(tmp_path, capsys):
     code, _, stderr = run(capsys, *_search(tmp_path / "tree.txt", "--max-depth", "0"))
-    assert (code, stderr) == (2, "no solution: DepthExhausted\nblocked objects: ice|solid|\n")
+    assert (code, stderr) == (2, "no solution: DepthExhausted\nblocked objects: ice;solid;\n")
 
 
 def test_search_help_still_exits_0(capsys):
@@ -494,8 +577,9 @@ def test_cli_start_up_imports_neither_dataclasses_nor_inspect_nor_ast():
     assert done.stdout == "[]\n"
 
 
-# The CLI fuzz property: every command, on mutated fixture files and on
-# argv drawn from its own flags and values, returns 0, 1 or 2 and prints
+# The CLI fuzz property: every command, on mutated fixture files, on argv
+# drawn from its own flags and values and on a stdout that is full or whose
+# reader has left, returns 0, 1 or 2 (or 141 for the closed pipe) and prints
 # the documented stderr lines, and no exception escapes ``main``.
 _FLAGS = {
     "merge": ["--out"],
@@ -590,11 +674,11 @@ def test_cli_fuzz_exits_0_1_or_2_with_documented_stderr(command, data):
         elif edit == "repeat":
             flag = data.draw(st.sampled_from(_FLAGS[command]), label="repeated")
             argv[at:at] = [flag, data.draw(_value(flag, files, work, goal), label=flag)]
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main([str(arg) for arg in argv])
-    lines = stderr.getvalue().splitlines()
-    assert code in (0, 1, 2)
+        failing = data.draw(st.sampled_from([None, None, "closed pipe", "full"]), label="stdout")
+        code, stderr = _run_with_stdout(failing, argv)
+    lines = stderr.splitlines()
+    # A closed pipe on stdout ends a command that prints quietly, with its own code.
+    assert code in (0, 1, 2) or (code, failing, lines) == (EXIT_CLOSED_STDOUT, "closed pipe", [])
     if code == 1:
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
     if command == "search" and code == 2:

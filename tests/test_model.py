@@ -36,7 +36,7 @@ state_sets = st.frozensets(tokens, min_size=1, max_size=3)
 
 
 def test_object_key_empty_sets():
-    assert object_key(obj("ice")) == "ice||"
+    assert object_key(obj("ice")) == "ice;;"
 
 
 def test_object_key_ignores_set_order():

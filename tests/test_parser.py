@@ -11,6 +11,7 @@ from foon import (
     ObjectNode,
     ParseError,
     SubgraphDocument,
+    object_key,
     parse_goal,
     parse_goals,
     parse_kitchen,
@@ -240,6 +241,49 @@ def test_parse_goal_refuses_more_than_three_fields():
     with pytest.raises(ParseError) as err:
         parse_goals("ice\nice;solid;;\n")
     assert err.value.line_number == 2
+
+
+def test_parse_goal_undoes_the_escapes_object_key_writes():
+    salt = ObjectNode("salt;pepper mix", {"ground, fine", ""}, {"a\\b", "c;d"})
+    assert object_key(salt) == "salt\\;pepper mix;\\e,ground\\, fine;a\\\\b,c\\;d"
+    assert parse_goal(object_key(salt)) == salt
+    # A ',' in the name field is part of the name, escaped or not.
+    assert parse_goal("a,b;c") == parse_goal("a\\,b;c") == ObjectNode("a,b", {"c"})
+
+
+@pytest.mark.parametrize("spec, escape", [
+    ("spoon\\|x", "\\|"), ("salt\\", "\\"), ("x;a\\ b", "\\ "), ("x;\\E", "\\E"),
+])
+def test_parse_goal_refuses_any_other_escape(spec, escape):
+    with pytest.raises(ParseError) as err:
+        parse_goal(spec)
+    assert (err.value.line_number, str(err.value)) == (
+        None, f"goal spec {spec!r} has an unknown escape {escape!r}")
+
+
+# Tokens of the goal-spec property: the separators, the escape and the
+# empty-state marker, '|' (the separator of the key's former form),
+# blanks, case and non-ASCII text.
+_spec_tokens = st.lists(st.sampled_from(["a", "B", "é", "水", " ", ";", ",", "\\", "|", "e",
+                                         "\\e", "\\\\"]), max_size=5).map("".join)
+
+
+@st.composite
+def _spec_objects(draw):
+    """An object the constructor accepts, built from ``_spec_tokens``."""
+    states = draw(st.frozensets(_spec_tokens, max_size=3))
+    # Ingredients ride on a state and hold no ','.
+    ingredients = draw(st.frozensets(_spec_tokens.filter(lambda token: "," not in token),
+                                     max_size=3 if states else 0))
+    return ObjectNode(draw(_spec_tokens.filter(str.strip)), states, ingredients)
+
+
+@settings(max_examples=300)
+@given(a=_spec_objects(), b=_spec_objects())
+def test_parse_goal_reads_back_what_object_key_prints(a, b):
+    assert parse_goal(object_key(a)) == a
+    # So equal keys mean equal objects; equal objects have one key.
+    assert (object_key(a) == object_key(b)) == (a == b)
 
 
 def test_parse_goals_skips_blank_and_comment_lines():

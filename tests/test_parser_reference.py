@@ -4,15 +4,18 @@ Seeded random documents are built from about twenty kinds of line, some
 well formed and some not, and run through both the current and the
 reference ``parse_subgraph`` and ``parse_kitchen``. Each pair must give
 the same units field by field, or raise the same exception class with
-the same line number and message.
+the same line number and message. Goal specs without a backslash, seeded
+random ones and every goal line of the fixtures, must do the same through
+both ``parse_goal``s.
 """
 import random
 
 import pytest
 
-from foon import parse_kitchen, parse_subgraph
+from foon import parse_goal, parse_goals, parse_kitchen, parse_subgraph
 
 import reference_parser as reference
+from conftest import FIXTURES
 
 NAMES = ["bowl", "Bowl", " tomato", "tomato", "water ", "ice", "knife"]
 STATES = ["whole", "chopped", "in bowl", "Liquid ", " solid"]
@@ -200,3 +203,40 @@ def test_edge_documents_parse_as_the_reference_does(text):
 def test_kitchen_unit_end_keeps_the_block_open():
     [item] = parse_kitchen("O\tx\n//\nS\ty\n").items
     assert (item.name, item.states) == ("x", frozenset({"y"}))
+
+
+# Characters of the random goal specs: the separators, blanks, a tab and
+# line breaks, '|', '#', case and non-ASCII text; no backslash.
+SPEC_CHARS = ["a", "B", "e", "é", "水", " ", " ", ";", ";", ",", ",", "|", "#", "\t", "\n",
+              "\u2028"]
+
+
+def _goal(obj):
+    return _objects([obj])
+
+
+def _assert_same_goal(spec):
+    assert _outcome(parse_goal, _goal, spec) == _outcome(reference.parse_goal, _goal, spec), (
+        repr(spec))
+
+
+def test_goal_specs_without_a_backslash_parse_as_the_reference_does():
+    outcomes = {"ok": 0, "error": 0}
+    for seed in range(3000):
+        rng = random.Random(seed)
+        spec = "".join(rng.choice(SPEC_CHARS) for _ in range(rng.randint(0, 12)))
+        _assert_same_goal(spec)
+        outcomes[_outcome(parse_goal, _goal, spec)[0]] += 1
+    assert min(outcomes.values()) > 300, outcomes
+
+
+_FIXTURE_GOALS = [spec for path in sorted(FIXTURES.rglob("goals*.txt"))
+                  for spec, _ in parse_goals(path.read_text(encoding="utf-8"))]
+
+
+@pytest.mark.parametrize("spec", _FIXTURE_GOALS + [
+    "", ";;;", ";mixed", "ice;solid;salt;pepper", "ice;solid;;", "ic\te", "x;;salt",
+    "x; ;salt", " Ice ; Solid ,, ; Salt ,", "a,b;c|d;e", "ice;;",
+])
+def test_fixture_and_edge_goal_specs_parse_as_the_reference_does(spec):
+    _assert_same_goal(spec)
