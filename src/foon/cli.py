@@ -80,6 +80,15 @@ def _max_depth(text):
     return depth
 
 
+def _report(line):
+    """Print ``line`` on stderr. A stderr that cannot be written, such as a
+    full device, loses it, and the exit code stands."""
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        pass
+
+
 def _read(path) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
@@ -157,8 +166,8 @@ def cmd_search(args) -> int:
     if not outcome.ok:
         failure = outcome.failure
         blocked = ", ".join(object_key(obj) for obj in failure.blocked_objects)
-        print(f"no solution: {failure.reason.value}", file=sys.stderr)
-        print(f"blocked objects: {blocked}", file=sys.stderr)
+        _report(f"no solution: {failure.reason.value}")
+        _report(f"blocked objects: {blocked}")
         return EXIT_NO_SOLUTION
     tree = outcome.tree
     _write(args.out, serialize_subgraph(SubgraphDocument(units=tree.units)))
@@ -258,7 +267,7 @@ def main(argv=None) -> int:
         return code
     except _Error as exc:
         message = _LINE_BREAK.sub(lambda match: repr(match.group())[1:-1], str(exc))
-        print(f"error: {message}", file=sys.stderr)
+        _report(f"error: {message}")
         return exc.code
     except BrokenPipeError:
         # The reader left, as ``head`` does: stdout goes to devnull (the Python
@@ -268,7 +277,7 @@ def main(argv=None) -> int:
         os.close(devnull)
         return EXIT_CLOSED_STDOUT
     except OSError as exc:  # ``_read`` and ``_write`` turn the files' errors into ``_Error``
-        print(f"error: stdout: {exc.strerror or exc}", file=sys.stderr)
+        _report(f"error: stdout: {exc.strerror or exc}")
         return EXIT_INPUT_ERROR
     finally:
         if collecting:

@@ -3,9 +3,9 @@
 A FOON is a bipartite graph of object nodes and motion nodes. Its atomic
 element is the functional unit: input objects, one motion, output objects.
 Everything downstream (merging, retrieval) keys off the identity rules
-defined here: an ``ObjectNode`` and a ``FunctionalUnit`` are each their
-own identity, compared and hashed as their docstrings say. A
-``UniversalFOON`` is built once from its units and then only read.
+defined here: ``ObjectNode``, ``MotionNode`` and ``FunctionalUnit`` each
+state theirs once, as ``_identity``, which ``_Frozen`` compares, hashes
+and pickles by. A ``UniversalFOON`` is built once and then only read.
 """
 from __future__ import annotations
 
@@ -19,7 +19,9 @@ _UNWRITABLE = re.compile(f"[\t{LINE_BREAKS}]")
 # An object's one text form, the goal spec ``name;state,...;ingredient,...``:
 # ``object_key`` writes it and ``parse_goal`` reads it. In a token, ESCAPE
 # goes before ESCAPE and each separator, and EMPTY_STATE is the empty state.
-FIELD_SEP, ITEM_SEP, ESCAPE = ";", ",", "\\"
+# A text file skips a line whose first non-blank character is COMMENT, so
+# a key that would start with it is written with ESCAPE before it.
+FIELD_SEP, ITEM_SEP, ESCAPE, COMMENT = ";", ",", "\\", "#"
 EMPTY_STATE = ESCAPE + "e"
 
 _set = object.__setattr__
@@ -38,8 +40,9 @@ def _check_writable(kind, owner, tokens):
 
 class _Record:
     """Base of the plain record classes: ``repr`` shows the ``_fields`` in
-    order, and two records of one class are equal when those fields are.
-    A record is unhashable unless its class defines ``__hash__``."""
+    order, and two records of one class (not a subclass) are equal when
+    their ``_identity`` is, by default the tuple of those fields. A record
+    is unhashable unless its class defines ``__hash__``."""
 
     __slots__ = ()
     _fields = ()
@@ -48,17 +51,28 @@ class _Record:
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({shown})"
 
+    @property
+    def _identity(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (tuple(getattr(self, name) for name in self._fields)
-                == tuple(getattr(other, name) for name in self._fields))
+        return self._identity == other._identity
 
 
 class _Frozen(_Record):
-    """A record whose fields are set once, by its constructor."""
+    """A record whose fields are set once, by its constructor. It hashes its
+    ``_identity``, and a pickle rebuilds it through the constructor, so no
+    hash travels between processes, whose string hashes differ."""
 
     __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._identity)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
     def __setattr__(self, name, value):
         _refuse("assign to", name)
@@ -109,21 +123,14 @@ class ObjectNode(_Frozen):
         _set(self, "states", states)
         _set(self, "ingredients", ingredients)
         _set(self, "motion_tag", motion_tag)
-        _set(self, "_hash", hash((name, states, ingredients)))
+        _set(self, "_hash", hash(self._identity))
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self._hash == other._hash and self.name == other.name
-                and self.states == other.states and self.ingredients == other.ingredients)
+    @property
+    def _identity(self):
+        return self.name, self.states, self.ingredients
 
     def __hash__(self):
         return self._hash
-
-    def __reduce__(self):
-        # Rebuild through the constructor: string hashes differ between
-        # processes, so the cached hash must not travel in a pickle.
-        return ObjectNode, (self.name, self.states, self.ingredients, self.motion_tag)
 
 
 class MotionNode(_Frozen):
@@ -134,7 +141,8 @@ class MotionNode(_Frozen):
     holding a tab or line break is a ValueError.
     """
 
-    _fields = ("label", "start_time", "end_time")
+    __slots__ = ("label", "start_time", "end_time")
+    _fields = __slots__
 
     def __init__(self, label, start_time=None, end_time=None):
         label = _norm(label)
@@ -147,13 +155,9 @@ class MotionNode(_Frozen):
         _set(self, "start_time", start_time)
         _set(self, "end_time", end_time)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.label == other.label
-
-    def __hash__(self):
-        return hash((self.label,))
+    @property
+    def _identity(self):
+        return (self.label,)
 
 
 def _encode(token: str) -> str:
@@ -173,8 +177,9 @@ def object_key(obj: ObjectNode) -> str:
     ``ObjectNode`` itself; this string is for output, messages and a
     stable sort order.
     """
-    return FIELD_SEP.join((_encode(obj.name), ITEM_SEP.join(map(_encode, sorted(obj.states))),
-                           ITEM_SEP.join(map(_encode, sorted(obj.ingredients)))))
+    key = FIELD_SEP.join((_encode(obj.name), ITEM_SEP.join(map(_encode, sorted(obj.states))),
+                          ITEM_SEP.join(map(_encode, sorted(obj.ingredients)))))
+    return ESCAPE + key if key.startswith(COMMENT) else key
 
 
 class FunctionalUnit(_Frozen):
@@ -196,18 +201,9 @@ class FunctionalUnit(_Frozen):
         _set(self, "motion", motion)
         _set(self, "outputs", outputs)
 
-    def __eq__(self, other):
-        if not isinstance(other, FunctionalUnit):
-            return NotImplemented
-        return (self.motion.label == other.motion.label
-                and frozenset(self.inputs) == frozenset(other.inputs)
-                and frozenset(self.outputs) == frozenset(other.outputs))
-
-    def __hash__(self):
-        return hash((frozenset(self.inputs), self.motion.label, frozenset(self.outputs)))
-
-    def __reduce__(self):
-        return FunctionalUnit, (self.inputs, self.motion, self.outputs)
+    @property
+    def _identity(self):
+        return frozenset(self.inputs), self.motion.label, frozenset(self.outputs)
 
 
 class UniversalFOON:

@@ -8,23 +8,24 @@ Subgraph grammar (tab-separated):
     //                            ends a functional unit
 
 Object blocks before the M line are the unit's inputs, blocks after it are
-the outputs. In every file format, blank lines and lines starting with
-'#' are ignored. Every format error is a ParseError.
-Serialization is canonical (sorted states/ingredients, final newline) so
-identical documents emit identical bytes.
+the outputs. In every file format, blank lines and lines whose first
+non-blank character is COMMENT ('#') are ignored. Every format error is a
+ParseError. Serialization is canonical (sorted states/ingredients, final
+newline) so identical documents emit identical bytes.
 """
 from __future__ import annotations
 
 import re
 
-from .model import (EMPTY_STATE, ESCAPE, FIELD_SEP, ITEM_SEP, FunctionalUnit, Kitchen, MotionNode,
-                    MotionRateTable, ObjectNode, _Record, check_rate)
+from .model import (COMMENT, EMPTY_STATE, ESCAPE, FIELD_SEP, ITEM_SEP, FunctionalUnit, Kitchen,
+                    MotionNode, MotionRateTable, ObjectNode, _Record, check_rate)
 
 # A goal spec's parts: a separator, an escape (ESCAPE and the character
 # after it, if any) or a run of other characters; and what each escape stands for.
 _SPEC_PARTS = re.compile("[{1}{2}]|{0}.?|[^{0}{1}{2}]+".format(
     re.escape(ESCAPE), FIELD_SEP, ITEM_SEP), re.DOTALL)
-_UNESCAPED = {ESCAPE + char: char for char in (ESCAPE, FIELD_SEP, ITEM_SEP)} | {EMPTY_STATE: ""}
+_UNESCAPED = ({ESCAPE + char: char for char in (ESCAPE, FIELD_SEP, ITEM_SEP, COMMENT)}
+              | {EMPTY_STATE: ""})
 
 
 class ParseError(Exception):
@@ -49,7 +50,7 @@ def _iter_records(text):
     """Yield (line_number, line) for every significant line."""
     for number, line in enumerate(text.splitlines(), start=1):
         stripped = line.lstrip()
-        if stripped and stripped[0] != "#":
+        if stripped and stripped[0] != COMMENT:
             yield number, line
 
 
@@ -228,9 +229,10 @@ def parse_rates(text: str) -> MotionRateTable:
 
 def parse_goal(spec: str) -> ObjectNode:
     """Parse a goal spec, ``name[;state1,state2[;ing1,ing2]]``, the form
-    ``object_key`` prints. In a token, ``\\\\``, ``\\;`` and ``\\,`` stand for
-    the character escaped and ``\\e`` for none, so a state written ``\\e``
-    is the empty state of a bare S line. A ',' in the name field is part of
+    ``object_key`` prints. In a token, ``\\\\``, ``\\;``, ``\\,`` and ``\\#`` stand
+    for the character escaped and ``\\e`` for none, so a state written ``\\e``
+    is the empty state of a bare S line, and a goals file can hold a goal
+    whose name starts with '#' as ``\\#``. A ',' in the name field is part of
     the name. A fourth field, any other escape and what the ``ObjectNode``
     constructor refuses are each a ParseError.
     """

@@ -430,8 +430,8 @@ def test_unwritable_out_exits_1(tmp_path, capsys, command):
     assert stderr.startswith(f"error: {out}: ")
 
 
-class _FullStdout(io.TextIOBase):
-    """A stdout on a full device: writing any text raises ENOSPC."""
+class _FullStream(io.TextIOBase):
+    """A stdout or stderr on a full device: writing any text raises ENOSPC."""
 
     def write(self, text):
         if text:
@@ -445,7 +445,7 @@ def _stdout(kind):
     buffered pipe whose reader has left, as ``head -1``'s does once it has
     read its line."""
     if kind != "closed pipe":
-        yield _FullStdout() if kind == "full" else io.StringIO()
+        yield _FullStream() if kind == "full" else io.StringIO()
         return
     read, write = os.pipe()
     os.close(read)
@@ -477,6 +477,22 @@ def test_a_closed_stdout_pipe_exits_141_quietly(tmp_path, command):
 def test_a_failing_stdout_exits_1_on_one_line(tmp_path, command):
     assert _run_with_stdout("full", _argv(command, ICE / "foon.txt", tmp_path / "out.txt")) == (
         1, "error: stdout: No space left on device\n")
+
+
+@pytest.mark.parametrize("argv, code, printed", [
+    (lambda tmp: ["search", "--foon", ICE / "foon.txt", "--goal", "pizza",
+                  "--out", tmp / "tree.txt"], 2, ""),
+    (lambda tmp: ["search", "--foon", tmp / "missing.txt", "--goal", "ice",
+                  "--out", tmp / "tree.txt"], 1, ""),
+    (lambda tmp: ["merge", ICE / "foon.txt", "--out", tmp / "u.txt"], 0,
+     "units: 1\ninput units: 1\nduplicates removed: 0\n"),
+], ids=["no-solution", "missing-foon", "merge"])
+def test_a_failing_stderr_keeps_the_exit_code(tmp_path, argv, code, printed):
+    # What stderr cannot take is lost; it is never taken for a failing stdout.
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(_FullStream()):
+        assert main([str(arg) for arg in argv(tmp_path)]) == code
+    assert stdout.getvalue() == printed
 
 
 def _search(out, *extra):

@@ -26,6 +26,7 @@ from foon import (
     validate_task_tree,
 )
 
+import reference_identity as reference
 from conftest import build_foon, obj, unit
 
 names = st.sampled_from(["bowl", "tomato", "knife", "pan", "egg", "water"])
@@ -103,13 +104,68 @@ object_nodes = st.builds(
     ingredients=token_sets,
     motion_tag=st.sampled_from(["", "0", "1"]),
 )
+motions = st.builds(MotionNode, label=st.sampled_from(["pour", "mix", "slice"]),
+                    start_time=st.none() | st.just("0:01"))
 units = st.builds(
     FunctionalUnit,
     inputs=st.lists(object_nodes, min_size=1, max_size=3),
-    motion=st.builds(MotionNode, label=st.sampled_from(["pour", "mix", "slice"]),
-                     start_time=st.none() | st.just("0:01")),
+    motion=motions,
     outputs=st.lists(object_nodes, min_size=1, max_size=3),
 )
+
+
+def _assert_identity_as_reference(a, b, twin, eq, hash_):
+    """``a`` compares with ``b``, with ``twin`` (an equal instance built
+    apart) and with a foreign value as ``eq`` says, and each hashes as
+    ``hash_`` says."""
+    for x, y in ((a, b), (b, a), (a, twin), (twin, a), (a, a), (a, "a")):
+        assert x.__eq__(y) == eq(x, y)
+        assert (x == y) == (eq(x, y) is True)
+    for x in (a, b, twin):
+        assert hash(x) == hash_(x)
+
+
+@given(a=object_nodes, b=object_nodes)
+def test_objects_compare_and_hash_as_the_reference(a, b):
+    twin = ObjectNode(a.name.upper(), a.states, a.ingredients, motion_tag="twin")
+    _assert_identity_as_reference(a, b, twin, reference.object_eq, reference.object_hash)
+
+
+@given(a=motions, b=motions)
+def test_motions_compare_and_hash_as_the_reference(a, b):
+    twin = MotionNode(a.label.upper(), "9:99", "9:59")
+    _assert_identity_as_reference(a, b, twin, reference.motion_eq, reference.motion_hash)
+
+
+@given(a=units, b=units)
+def test_units_compare_and_hash_as_the_reference(a, b):
+    rebuilt = [ObjectNode(o.name, o.states, o.ingredients) for o in a.outputs]
+    twin = FunctionalUnit(a.inputs[::-1], MotionNode(a.motion.label, end_time="9:59"), rebuilt)
+    _assert_identity_as_reference(a, b, twin, reference.unit_eq, reference.unit_hash)
+
+
+class _SubObject(ObjectNode):
+    __slots__ = ()
+
+
+class _SubMotion(MotionNode):
+    __slots__ = ()
+
+
+class _SubUnit(FunctionalUnit):
+    __slots__ = ()
+
+
+def test_an_instance_of_a_subclass_is_unequal():
+    # One rule for all three: equal records are of one class. A subclass
+    # instance hashes alike, so a set holds both.
+    salt, pour = obj("salt", "ground"), MotionNode("pour")
+    u = FunctionalUnit([salt], pour, [obj("salt", "wet")])
+    for made, sub in ((salt, _SubObject("salt", {"ground"})), (pour, _SubMotion("pour")),
+                      (u, _SubUnit(u.inputs, u.motion, u.outputs))):
+        assert made != sub and sub != made
+        assert not made == sub
+        assert hash(made) == hash(sub) and len({made, sub}) == 2
 
 
 @given(a=units, b=units, c=units)
@@ -294,32 +350,37 @@ def test_lookups_use_the_object_not_its_key(monkeypatch, corpus_paths):
         assert validate_task_tree(outcome.tree, kitchen, goal)
 
 
-def test_unpickled_object_hashes_for_the_loading_process():
-    # A process with another string-hash seed pickles the object; its
-    # cached hash would be wrong here.
+def _pickled_elsewhere(expression):
+    """``expression``, built and pickled by a process with another
+    string-hash seed, loaded here: a hash computed there would be wrong here."""
     seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
-    code = ("import pickle, sys; from foon import ObjectNode; sys.stdout.buffer.write("
-            "pickle.dumps(ObjectNode('tomato', {'chopped'}, {'salt'}, motion_tag='1')))")
+    code = ("import pickle, sys; from foon import FunctionalUnit, MotionNode, ObjectNode; "
+            f"sys.stdout.buffer.write(pickle.dumps({expression}))")
     env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(sys.path))
-    data = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          check=True).stdout
-    loaded = pickle.loads(data)
+    return pickle.loads(subprocess.run([sys.executable, "-c", code], env=env,
+                                       capture_output=True, check=True).stdout)
+
+
+def test_unpickled_object_hashes_for_the_loading_process():
+    loaded = _pickled_elsewhere("ObjectNode('tomato', {'chopped'}, {'salt'}, motion_tag='1')")
     assert loaded in {obj("tomato", "chopped", ings=("salt",))}
     assert loaded.motion_tag == "1"
 
 
+def test_unpickled_motion_hashes_for_the_loading_process_and_keeps_its_timestamps():
+    loaded = _pickled_elsewhere("MotionNode('slice', '0:01', '0:05')")
+    assert loaded in {MotionNode("slice")}
+    assert (loaded.start_time, loaded.end_time) == ("0:01", "0:05")
+    # A motion has slots, not a __dict__, like objects and units.
+    with pytest.raises(TypeError):
+        vars(loaded)
+
+
 def test_unpickled_unit_hashes_for_the_loading_process():
-    # A process with another string-hash seed pickles the unit; the unit
-    # and its objects must hash as this process hashes them.
-    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
-    code = ("import pickle, sys; from foon import FunctionalUnit, MotionNode, ObjectNode; "
-            "sys.stdout.buffer.write(pickle.dumps(FunctionalUnit("
-            "[ObjectNode('tomato', {'whole'}), ObjectNode('knife')], MotionNode('slice', '0:01'), "
-            "[ObjectNode('tomato', {'sliced'})])))")
-    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(sys.path))
-    data = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          check=True).stdout
-    loaded = pickle.loads(data)
+    # The unit and its objects must hash as this process hashes them.
+    loaded = _pickled_elsewhere(
+        "FunctionalUnit([ObjectNode('tomato', {'whole'}), ObjectNode('knife')], "
+        "MotionNode('slice', '0:01'), [ObjectNode('tomato', {'sliced'})])")
     local = unit([obj("knife"), obj("tomato", "whole")], "slice", [obj("tomato", "sliced")])
     assert loaded == local
     assert hash(loaded) == hash(local)
