@@ -80,13 +80,26 @@ def _max_depth(text):
     return depth
 
 
+def _to_devnull(stream):
+    """Point ``stream``'s file descriptor at devnull (the Python docs' note on
+    SIGPIPE), so that the interpreter's flush of it at exit is quiet and does
+    not turn the exit code into 120. A stream with no descriptor is left as is."""
+    try:
+        fd = stream.fileno()
+    except (AttributeError, ValueError):  # io.UnsupportedOperation is a ValueError
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def _report(line):
     """Print ``line`` on stderr. A stderr that cannot be written, such as a
-    full device, loses it, and the exit code stands."""
+    full device, loses it and what it still buffers, and the exit code stands."""
     try:
         print(line, file=sys.stderr)
     except OSError:
-        pass
+        _to_devnull(sys.stderr)
 
 
 def _read(path) -> str:
@@ -263,21 +276,18 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         code = args.func(args)
-        print(end="", flush=True)  # so that stdout fails here, if at all, not at exit
+        sys.stdout.flush()  # so that stdout fails here, if at all, not at exit
         return code
     except _Error as exc:
         message = _LINE_BREAK.sub(lambda match: repr(match.group())[1:-1], str(exc))
         _report(f"error: {message}")
         return exc.code
     except BrokenPipeError:
-        # The reader left, as ``head`` does: stdout goes to devnull (the Python
-        # docs' note on SIGPIPE), so that the interpreter's flush at exit is quiet.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        _to_devnull(sys.stdout)  # the reader left, as ``head`` does
         return EXIT_CLOSED_STDOUT
     except OSError as exc:  # ``_read`` and ``_write`` turn the files' errors into ``_Error``
         _report(f"error: stdout: {exc.strerror or exc}")
+        _to_devnull(sys.stdout)
         return EXIT_INPUT_ERROR
     finally:
         if collecting:

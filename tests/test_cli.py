@@ -495,6 +495,37 @@ def test_a_failing_stderr_keeps_the_exit_code(tmp_path, argv, code, printed):
     assert stdout.getvalue() == printed
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv, full, code", [
+    (lambda tmp: ["search", "--foon", ICE / "foon.txt", "--goal", "pizza",
+                  "--out", tmp / "tree.txt"], "stderr", 2),
+    (lambda tmp: ["search", "--foon", tmp / "missing.txt", "--goal", "ice",
+                  "--out", tmp / "tree.txt"], "stderr", 1),
+    (lambda tmp: ["merge", ICE / "foon.txt", "--out", tmp / "u.txt"], "stderr", 0),
+    (lambda tmp: ["merge", ICE / "foon.txt", "--out", tmp / "u.txt"], "stdout", 1),
+    (lambda tmp: ["search", "--foon", ICE / "foon.txt", "--goal", "pizza",
+                  "--out", tmp / "tree.txt"], "stdout", 2),
+], ids=["no-solution", "missing-foon", "merge", "merge-stdout", "no-solution-stdout"])
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_a_full_device_keeps_the_exit_code(tmp_path, argv, full, code, buffered):
+    # A buffered stream keeps the text it could not write, and the
+    # interpreter's flush at exit tries again: that must not make it exit
+    # 120. An unbuffered one must not be sent a zero-byte write, which a
+    # full device refuses too.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    command = [sys.executable, "-m", "foon.cli", *map(str, argv(tmp_path))]
+    with open("/dev/full", "w") as device:
+        streams = ({"stderr": device, "stdout": subprocess.DEVNULL} if full == "stderr"
+                   else {"stdout": device, "stderr": subprocess.PIPE})
+        done = subprocess.run(command, env=env, timeout=60, **streams)
+    assert done.returncode == code
+    if full == "stdout" and code == 1:
+        assert done.stderr == b"error: stdout: No space left on device\n"
+
+
 def _search(out, *extra):
     return ["search", "--foon", ICE / "foon.txt", "--goal", "ice;solid",
             "--kitchen", ICE / "kitchen.txt", *extra, "--out", out]
