@@ -103,8 +103,10 @@ def _report(line):
 
 
 def _read(path) -> str:
+    # A leading byte-order mark is dropped here rather than by the
+    # "utf-8-sig" codec, which would cost every command a module import.
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise _Error(f"{path}: {exc.strerror or exc}")
     except UnicodeDecodeError as exc:

@@ -216,10 +216,15 @@ def parse_rates(text: str) -> MotionRateTable:
         if len(fields) != 2:
             raise ParseError(f"expected label<TAB>rate, got {fields!r}", number)
         label = fields[0]
+        if not label.strip():
+            raise ParseError("rate line has no motion label", number)
         try:
             rate = float(fields[1])
         except ValueError:
             raise ParseError(f"rate is not a number: {fields[1]!r}", number)
+        # Moved to the end, so the last line wins in the table, which
+        # normalises the labels, whatever each line's spelling.
+        rates.pop(label, None)
         try:
             rates[label] = check_rate(label, rate)
         except ValueError as exc:

@@ -10,7 +10,6 @@ they can fail on instances IDS solves.
 from __future__ import annotations
 
 import enum
-import functools
 import heapq
 from collections import deque
 
@@ -122,13 +121,13 @@ def search_ids(
     path, dead ends and visit counts hold object ids, and objects come
     back only in the result.
     """
-    stats = SearchStats()
     view = foon.search_view(kitchen)
     start = view.intern(goal)
     stocked, known, expand = view.stocked, view.candidates, view.expand
     visits: dict[int, int] = {}
+    per_depth: list[int] = []
     if not stocked[start] and not expand(start):
-        return _outcome(view, goal, stats, visits, FailureReason.GOAL_UNREACHABLE)
+        return _outcome(view, goal, per_depth, visits, FailureReason.GOAL_UNREACHABLE)
 
     deepest = 0
     reason = FailureReason.DEPTH_EXHAUSTED
@@ -138,7 +137,6 @@ def search_ids(
     # tried, that unit's inputs left, mark]; the iterators are its cursors.
     dead_ends, emitted = set(), {}
     for depth in range(max_depth + 1):
-        stats.depth_limit_reached = depth
         dead_ends.clear()
         emitted.clear()
         depth_limit_hit = False
@@ -192,7 +190,7 @@ def search_ids(
                 stack.pop()
                 path.discard(frame[0])
                 ok = True
-        stats.per_depth_expansions.append(expansions)
+        per_depth.append(expansions)
         if ok:
             reason = None
             break
@@ -201,70 +199,69 @@ def search_ids(
             # iteration can succeed: the goal is structurally unreachable.
             reason = FailureReason.GOAL_UNREACHABLE
             break
-    stats.max_stack_depth = deepest
-    return _outcome(view, goal, stats, visits, reason, list(emitted.values()), dead_ends)
+    return _outcome(view, goal, per_depth, visits, reason, list(emitted.values()), dead_ends,
+                    deepest)
 
 
-def _outcome(view, goal, stats, visits, reason, units=(), blocked=()):
+def _outcome(view, goal, per_depth, visits, reason, units=(), blocked=(), deepest=0):
     """What every search returns: the tree of ``units`` if ``reason`` is
     None, else a failure on the ``blocked`` ids (in ``object_key`` order) or
-    the goal. ``stats`` gets the expansions' sum and ``visits`` as objects."""
+    the goal. Its stats hold ``per_depth``, one entry per depth bound tried,
+    and their sum, ``visits`` as objects and ``deepest``."""
     objects = view.objects
-    stats.expansions = sum(stats.per_depth_expansions)
-    stats.object_visits = {objects[node]: count for node, count in visits.items()}
+    stats = SearchStats(sum(per_depth), deepest, max(len(per_depth) - 1, 0), per_depth,
+                        {objects[node]: count for node, count in visits.items()})
     if reason is None:
         return SearchOutcome(tree=TaskTree(units, goal, stats))
     blocked = sorted([objects[node] for node in blocked], key=object_key)
     return SearchOutcome(failure=SearchFailure(reason, blocked or [goal], stats))
 
 
-def _forward_chain(rules, stocked):
+def _forward_chain(rules, stocked, waiting, ready, take, put):
     """Linear forward chaining (Dowling & Gallier, 1984) on ``SearchView`` ids.
 
     Each rule ``(unit, input ids, output ids)`` counts its inputs not
-    ``stocked``, and each such object lists the rules waiting on it.
-    Returns the rules ready at the start (positions, ascending); ``waiting``,
-    where the objects never released stay; and ``release(objects, fire)``,
-    which releases each object once and calls ``fire`` on each rule it readies.
+    ``stocked``, and each such object lists in ``waiting`` the rules waiting
+    on it. The rules ready at the start go into ``ready``, positions
+    ascending. Then, while ``ready`` is not empty, ``take(ready)`` removes a
+    rule, its position is yielded, and its outputs are released, each once:
+    ``put(ready, position)`` adds each rule a release readies. The objects
+    never released stay in ``waiting``.
     """
     missing = [0] * len(rules)
-    waiting: dict[int, list[int]] = {}
     for position, (_, inputs, _) in enumerate(rules):
         for inp in inputs:
             if not stocked[inp]:
                 missing[position] += 1
                 waiting.setdefault(inp, []).append(position)
-
-    def release(objects, fire):
-        for obj in objects:
-            for position in waiting.pop(obj, ()):
-                missing[position] -= 1
-                if not missing[position]:
-                    fire(position)
-
-    return [position for position, count in enumerate(missing) if not count], waiting, release
+    ready.extend(position for position, count in enumerate(missing) if not count)
+    while ready:
+        position = take(ready)
+        yield position
+        for out in rules[position][2]:
+            for waiter in waiting.pop(out, ()):
+                missing[waiter] -= 1
+                if not missing[waiter]:
+                    put(ready, waiter)
 
 
 def derivation_depths(foon: UniversalFOON, kitchen: Kitchen) -> dict[ObjectNode, int]:
     """Every object derivable from ``kitchen``, with its depth: 0 for a
     kitchen item, else one more than the deepest input of its shallowest
     producer. ``search_ids`` succeeds exactly when the goal's depth is at
-    most ``max_depth``. Chains level by level on a ``SearchView`` of its
-    own, so the view the searches share is left as it was."""
+    most ``max_depth``. Chains first in, first out (so level by level) on a
+    ``SearchView`` of its own, leaving the view the searches share as it
+    was."""
     view = SearchView(foon.producers, kitchen)
     objects, rules = view.objects, view.rules(foon.units)
     depths = dict.fromkeys(kitchen.items, 0)
-    level, _, release = _forward_chain(rules, view.stocked)
-    depth = 0
-    while level:
-        depth += 1
-        following = []
-        for position in level:
-            outputs = rules[position][2]
-            for out in outputs:
-                depths.setdefault(objects[out], depth)
-            release(outputs, following.append)
-        level = following
+    # Each id's depth: 0 if stocked, set when it is derived, before it is read.
+    level = [0] * len(objects)
+    for position in _forward_chain(rules, view.stocked, {}, deque(), deque.popleft, deque.append):
+        _, inputs, outputs = rules[position]
+        depth = max(map(level.__getitem__, inputs)) + 1
+        for out in outputs:
+            level[out] = depths.setdefault(objects[out], depth)
     return depths
 
 
@@ -275,7 +272,6 @@ def _search_greedy(foon, goal, kitchen, selection_key) -> SearchOutcome:
     candidate of the FOON's ``SearchView`` for ``kitchen``. The visits,
     the queue and the blocked set hold object ids; objects come back only
     in the result."""
-    stats = SearchStats()
     view = foon.search_view(kitchen)
     start = view.intern(goal)
     stocked, known, expand = view.stocked, view.candidates, view.expand
@@ -305,29 +301,24 @@ def _search_greedy(foon, goal, kitchen, selection_key) -> SearchOutcome:
                 visits[inp] = 1
                 queue.append(inp)
 
-    stats.per_depth_expansions = [expansions]
     if blocked:
         reason = (FailureReason.GOAL_UNREACHABLE if start in blocked
                   else FailureReason.UNSATISFIED_LEAVES)
-        return _outcome(view, goal, stats, visits, reason, blocked=blocked)
+        return _outcome(view, goal, [expansions], visits, reason, blocked=blocked)
 
     # Forward chaining orders the selection, firing the earliest-discovered
     # ready unit first: readiness is monotone, so a min-heap of positions
     # finds it. Objects never released block the selection.
     chosen = list(selected.values())
-    ready, waiting, release = _forward_chain(chosen, stocked)
-    fire = functools.partial(heapq.heappush, ready)
-    ordered = []
-    while ready:
-        unit, _, outputs = chosen[heapq.heappop(ready)]
-        ordered.append(unit)
-        release(outputs, fire)
+    waiting: dict[int, list[int]] = {}
+    ordered = [chosen[position][0] for position in
+               _forward_chain(chosen, stocked, waiting, [], heapq.heappop, heapq.heappush)]
     if waiting:
-        return _outcome(view, goal, stats, visits, FailureReason.UNSATISFIED_LEAVES,
+        return _outcome(view, goal, [expansions], visits, FailureReason.UNSATISFIED_LEAVES,
                         blocked=waiting)
     # Every selected unit fired, so the order is executable, and the unit
     # chosen for the goal produces it.
-    return _outcome(view, goal, stats, visits, None, ordered)
+    return _outcome(view, goal, [expansions], visits, None, ordered)
 
 
 def search_gbfs_rate(

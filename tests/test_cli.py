@@ -293,6 +293,53 @@ def test_bench_goal_line_with_four_fields_exits_1_naming_the_line(tmp_path, caps
     assert not out.exists()
 
 
+def test_bench_rates_line_without_a_label_exits_1_naming_the_line(tmp_path, capsys):
+    rates = tmp_path / "rates.txt"
+    rates.write_text("freeze\t0.8\n  \t0.5\n")
+    out = tmp_path / "bench.tsv"
+    code, stdout, stderr = run(
+        capsys, "bench", "--foon", ICE / "foon.txt", "--kitchen", ICE / "kitchen.txt",
+        "--goals", ICE / "goals.txt", "--rates", rates, "--out", out)
+    assert (code, stdout) == (1, "")
+    assert stderr == f"error: {rates}:2: rate line has no motion label\n"
+    assert not out.exists()
+
+
+def _bom_copy(source, directory):
+    """A copy of ``source`` in ``directory`` that starts with a byte-order mark."""
+    copy = directory / source.name
+    copy.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+    return copy
+
+
+def _bench_rows(capsys, foon, kitchen, goals, rates, out):
+    code, _, _ = run(capsys, "bench", "--foon", foon, "--kitchen", kitchen,
+                     "--goals", goals, "--rates", rates, "--out", out)
+    assert code == 0
+    return strip_timing(out.read_text())
+
+
+def test_bench_skips_a_leading_byte_order_mark_in_every_file(tmp_path, capsys):
+    files = [ICE / name for name in ("foon.txt", "kitchen.txt", "goals.txt", "rates.txt")]
+    plain = _bench_rows(capsys, *files, tmp_path / "plain.tsv")
+    marked = _bench_rows(capsys, *(_bom_copy(f, tmp_path) for f in files), tmp_path / "bom.tsv")
+    assert marked == plain
+    assert plain.splitlines()[1] == "ice;solid\t1\t1\t1\t1\t1\t1"
+
+
+def test_a_byte_order_mark_does_not_hide_the_first_rate(tmp_path, capsys):
+    # Rated 0.2, mix loses to blend; read as an unknown label, it would
+    # rate 1.0 and win, and gbfs-rate's tree would change.
+    rates = tmp_path / "plain" / "rates.txt"
+    rates.parent.mkdir()
+    rates.write_text("mix\t0.2\nblend\t0.9\n")
+    files = [DIVERGENCE / name for name in ("foon.txt", "kitchen.txt", "goals.txt")]
+    plain = _bench_rows(capsys, *files, rates, tmp_path / "plain.tsv")
+    marked = _bench_rows(capsys, *files, _bom_copy(rates, tmp_path), tmp_path / "bom.tsv")
+    assert marked == plain
+    assert plain.splitlines()[1].split("\t")[1:4] == ["1", "2", "1"]
+
+
 def test_bench_tree_that_fails_its_own_check_exits_2_and_writes_nothing(
         tmp_path, capsys, monkeypatch):
     broken = unit([obj("snow", "cold")], "pack", [obj("ice", "solid")])

@@ -193,6 +193,7 @@ def test_parse_rates_out_of_range():
 def test_rate_labels_are_normalised_by_the_table():
     # The parser passes labels as written; an error quotes the label so.
     assert parse_rates(" Slice \t0.5\nslice\t0.25\n").rates == {"slice": 0.25}
+    assert parse_rates("pour\t0.5\nPour\t0.9\npour\t0.1\n").rates == {"pour": 0.1}
     with pytest.raises(ParseError, match=r"^rate for ' Slice' out of \[0, 1\]: 1.5$"):
         parse_rates(" Slice\t1.5\n")
 
@@ -202,6 +203,13 @@ def test_parse_rates_malformed():
         parse_rates("slice\n")
     with pytest.raises(ParseError, match="^rate is not a number: 'fast'$"):
         parse_rates("slice\tfast\n")
+
+
+@pytest.mark.parametrize("text", ["\t0.5\n", "  \t0.5\n", "pour\t0.5\n# none\n \t0.5\n"])
+def test_parse_rates_refuses_an_empty_label(text):
+    with pytest.raises(ParseError, match="^rate line has no motion label$") as info:
+        parse_rates(text)
+    assert info.value.line_number == text.count("\n")
 
 
 def test_parse_goal_variants():

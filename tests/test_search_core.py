@@ -37,6 +37,7 @@ from foon import model as foon_model
 from foon.cli import main
 from foon.model import SearchView
 
+import reference_depths
 import reference_search as reference
 from conftest import CORPUS_DIR, build_foon, obj, unit
 from oracle import GeneratorConfig, generate_instance
@@ -97,6 +98,37 @@ def test_searches_match_reference_on_fixture_corpus(corpus_foon, withheld_every)
     rates = _rates(corpus_foon)
     for goal in dict.fromkeys(o for u in corpus_foon.units for o in u.outputs):
         _assert_same_as_reference(corpus_foon, goal, kitchen, rates, max_depth=50)
+
+
+def _assert_same_depths_as_reference(foon, kitchen):
+    # Compared as item lists, so the order the objects were derived in counts.
+    assert list(derivation_depths(foon, kitchen).items()) == list(
+        reference_depths.derivation_depths(foon, kitchen).items())
+
+
+@pytest.mark.parametrize("max_units, kitchen_fraction, seeds", [
+    (10, 0.8, 60), (40, 0.5, 60), (200, 0.6, 30), (200, 0.8, 30), (1500, 0.8, 4),
+])
+def test_derivation_depths_match_reference_on_generator_seeds(max_units, kitchen_fraction,
+                                                                 seeds):
+    for seed in range(seeds):
+        cfg = GeneratorConfig(max_units=max_units, max_branching=4, max_inputs_per_unit=3,
+                              kitchen_fraction=kitchen_fraction, seed=seed)
+        foon, _, kitchen = generate_instance(cfg)
+        _assert_same_depths_as_reference(foon, kitchen)
+
+
+@pytest.mark.parametrize("withheld_every", [0, 3])
+def test_derivation_depths_match_reference_on_fixture_corpus(corpus_foon, withheld_every):
+    produced = [o for u in corpus_foon.units for o in u.outputs]
+    made = set(produced)
+    leaves = list(dict.fromkeys(o for u in corpus_foon.units for o in u.inputs
+                                if o not in made))
+    if withheld_every:
+        del leaves[::withheld_every]
+    _assert_same_depths_as_reference(corpus_foon, Kitchen(leaves))
+    # Stocked outputs keep depth 0 however they are derived.
+    _assert_same_depths_as_reference(corpus_foon, Kitchen(leaves + produced[::5]))
 
 
 def test_searches_match_reference_when_goal_is_in_kitchen(chain):
