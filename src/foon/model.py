@@ -252,11 +252,11 @@ class SearchView:
 
     An object gets the next id when a search first reaches it, through
     ``intern``; ``objects[i]`` is object ``i``, the first equal instance
-    reached, and ``stocked[i]`` is 1 when it is in the kitchen. Its
-    candidates are built when it is first expanded: ``candidates[i]`` is
-    None until then, and afterwards the ``rules`` of the units producing
-    it, in FOON order. So a search that reaches k objects hashes about k
-    objects, once per view, and its loops look up integers only.
+    reached, and ``stocked[i]`` is 1 when it is in the kitchen. A search
+    reads an object's candidates through ``expand(i)`` alone: the ``rules``
+    of the units producing it, in FOON order, built on first use and kept.
+    So a search that reaches k objects hashes about k objects, once per
+    view, and its loops look up integers only.
     """
 
     __slots__ = ("kitchen", "producers", "ids", "objects", "stocked", "candidates")
@@ -318,14 +318,17 @@ DEFAULT_RATE = 1.0
 
 
 def check_rate(label, rate):
-    """``rate``, or a ValueError naming ``label`` if it is outside [0, 1]."""
+    """``rate``, or a ValueError if ``label`` is blank once trimmed or
+    ``rate`` is outside [0, 1]: every rule of a rate entry is here."""
+    if not label.strip():
+        raise ValueError("rate line has no motion label")
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"rate for {label!r} out of [0, 1]: {rate}")
     return rate
 
 
 class MotionRateTable(_Record):
-    """Per-motion success rates in [0, 1]; unlisted labels get ``DEFAULT_RATE``."""
+    """Per-motion success rates that pass ``check_rate``; unlisted labels get ``DEFAULT_RATE``."""
 
     _fields = ("rates",)
 

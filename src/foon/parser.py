@@ -215,13 +215,13 @@ def parse_rates(text: str) -> MotionRateTable:
         fields = line.split("\t")
         if len(fields) != 2:
             raise ParseError(f"expected label<TAB>rate, got {fields!r}", number)
-        label = fields[0]
-        if not label.strip():
-            raise ParseError("rate line has no motion label", number)
+        label, field = fields
         try:
-            rate = float(fields[1])
+            if "_" in field:  # float() reads digit-grouping underscores: "0_1" as 1.0
+                raise ValueError
+            rate = float(field)
         except ValueError:
-            raise ParseError(f"rate is not a number: {fields[1]!r}", number)
+            raise ParseError(f"rate is not a number: {field!r}", number)
         # Moved to the end, so the last line wins in the table, which
         # normalises the labels, whatever each line's spelling.
         rates.pop(label, None)

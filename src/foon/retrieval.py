@@ -123,7 +123,7 @@ def search_ids(
     """
     view = foon.search_view(kitchen)
     start = view.intern(goal)
-    stocked, known, expand = view.stocked, view.candidates, view.expand
+    stocked, expand = view.stocked, view.expand
     visits: dict[int, int] = {}
     per_depth: list[int] = []
     if not stocked[start] and not expand(start):
@@ -156,9 +156,7 @@ def search_ids(
                     if level == depth:
                         depth_limit_hit = True
                     else:
-                        candidates = known[node]
-                        if candidates is None:
-                            candidates = expand(node)
+                        candidates = expand(node)
                         if candidates:
                             path.add(node)
                             stack.append([node, iter(candidates), None, None, len(emitted)])
@@ -274,7 +272,7 @@ def _search_greedy(foon, goal, kitchen, selection_key) -> SearchOutcome:
     in the result."""
     view = foon.search_view(kitchen)
     start = view.intern(goal)
-    stocked, known, expand = view.stocked, view.candidates, view.expand
+    stocked, expand = view.stocked, view.expand
     # Each object not in the kitchen is queued once, when it enters ``visits``.
     visits: dict[int, int] = {} if stocked[start] else {start: 1}
     queue = deque(visits)
@@ -285,9 +283,7 @@ def _search_greedy(foon, goal, kitchen, selection_key) -> SearchOutcome:
     expansions = 0
     while queue:
         node = queue.popleft()
-        candidates = known[node]
-        if candidates is None:
-            candidates = expand(node)
+        candidates = expand(node)
         expansions += len(candidates)
         if not candidates:
             blocked.add(node)

@@ -305,6 +305,18 @@ def test_bench_rates_line_without_a_label_exits_1_naming_the_line(tmp_path, caps
     assert not out.exists()
 
 
+def test_bench_rate_with_an_underscore_exits_1_naming_the_line(tmp_path, capsys):
+    rates = tmp_path / "rates.txt"
+    rates.write_text("freeze\t0_1\n")
+    out = tmp_path / "bench.tsv"
+    code, stdout, stderr = run(
+        capsys, "bench", "--foon", ICE / "foon.txt", "--kitchen", ICE / "kitchen.txt",
+        "--goals", ICE / "goals.txt", "--rates", rates, "--out", out)
+    assert (code, stdout) == (1, "")
+    assert stderr == f"error: {rates}:1: rate is not a number: '0_1'\n"
+    assert not out.exists()
+
+
 def _bom_copy(source, directory):
     """A copy of ``source`` in ``directory`` that starts with a byte-order mark."""
     copy = directory / source.name

@@ -325,6 +325,12 @@ def test_rate_table_normalizes_its_labels():
     assert table.rate("mix") == 1.0
 
 
+@pytest.mark.parametrize("label", ["", "  "])
+def test_rate_table_refuses_a_blank_label(label):
+    with pytest.raises(ValueError, match="^rate line has no motion label$"):
+        MotionRateTable({label: 0.5})
+
+
 def test_lookups_use_the_object_not_its_key(monkeypatch, corpus_paths):
     """Merge, kitchen membership, search and validation look objects up by
     ``ObjectNode`` equality, and the searches' visit counts are keyed by

@@ -212,6 +212,20 @@ def test_parse_rates_refuses_an_empty_label(text):
     assert info.value.line_number == text.count("\n")
 
 
+@pytest.mark.parametrize("rate", ["0_1", "1_0e-1"])
+def test_parse_rates_refuses_an_underscore_in_the_rate(rate):
+    # float() would read "0_1" as 1.0, a typo for 0.1 made certain.
+    with pytest.raises(ParseError, match=f"^rate is not a number: '{rate}'$") as info:
+        parse_rates(f"pour\t0.5\nfreeze\t{rate}\n")
+    assert info.value.line_number == 2
+
+
+def test_parse_rates_reads_the_number_before_the_label():
+    with pytest.raises(ParseError, match="^rate is not a number: 'fast'$") as info:
+        parse_rates("\tfast\n")
+    assert info.value.line_number == 1
+
+
 def test_parse_goal_variants():
     plain = parse_goal("ice")
     assert (plain.name, plain.states, plain.ingredients) == ("ice", frozenset(), frozenset())

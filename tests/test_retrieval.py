@@ -1,8 +1,12 @@
+import itertools
+import random
+
 import pytest
 
 from foon import (
     Kitchen,
     MotionRateTable,
+    UniversalFOON,
     derivation_depths,
     search_gbfs_inputs,
     search_gbfs_rate,
@@ -209,6 +213,45 @@ def test_ids_solvability_matches_oracle(seed):
     reference = oracle_search(foon, goal, kitchen)
     outcome = search_ids(foon, goal, kitchen, max_depth=12)
     assert outcome.ok == (reference is not None)
+
+
+def _metamorphic_instances():
+    """Metamorphic relations compare IDS with itself on a changed instance,
+    so they need no oracle and hold at any size; these are their 300
+    instances, each with its case and a random source of its own."""
+    cases = itertools.product((10, 40, 200), (0.5, 0.8), range(50))
+    for max_units, kitchen_fraction, seed in cases:
+        foon, goal, kitchen = generate_instance(GeneratorConfig(
+            max_units=max_units, kitchen_fraction=kitchen_fraction, seed=seed))
+        yield (max_units, kitchen_fraction, seed), random.Random(seed), foon, goal, kitchen
+
+
+def test_ids_verdict_is_monotone_in_the_kitchen():
+    # A stocked object ends every path through it, and the depth-bounded
+    # DFS tries every candidate, so more items never undo a success.
+    gained = 0
+    for case, rng, foon, goal, kitchen in _metamorphic_instances():
+        objects = dict.fromkeys(o for u in foon.units for o in (*u.inputs, *u.outputs))
+        larger = Kitchen(kitchen.items + [o for o in objects if rng.random() < 0.3])
+        for max_depth in (4, 10):
+            before = search_ids(foon, goal, kitchen, max_depth).ok
+            after = search_ids(foon, goal, larger, max_depth).ok
+            assert after or not before, (case, max_depth)
+            gained += after and not before
+    # Some failures turn into successes, so the larger kitchens matter.
+    assert gained
+
+
+def test_ids_verdict_does_not_depend_on_unit_order():
+    # Only ``.ok``: on an underivable goal, the order can change the failure
+    # reason and the deepest bound tried. Case (40, 0.8, 41) at max_depth 10
+    # gives GoalUnreachable at 9 as generated, and DepthExhausted at 10 with
+    # its units in random.Random(0).sample order.
+    for case, rng, foon, goal, kitchen in _metamorphic_instances():
+        shuffled = UniversalFOON(rng.sample(foon.units, len(foon.units)))
+        for max_depth in (4, 10):
+            assert (search_ids(shuffled, goal, kitchen, max_depth).ok
+                    == search_ids(foon, goal, kitchen, max_depth).ok), (case, max_depth)
 
 
 def test_depths_of_a_chain_count_its_links(chain):
