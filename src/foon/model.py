@@ -252,14 +252,18 @@ class SearchView:
 
     An object gets the next id when a search first reaches it, through
     ``intern``; ``objects[i]`` is object ``i``, the first equal instance
-    reached, and ``stocked[i]`` is 1 when it is in the kitchen. A search
-    reads an object's candidates through ``expand(i)`` alone: the ``rules``
-    of the units producing it, in FOON order, built on first use and kept.
-    So a search that reaches k objects hashes about k objects, once per
-    view, and its loops look up integers only.
+    reached, and ``stocked[i]`` is 1 when it is in the kitchen.
+    ``derivable[i]`` is 1 when it can be made from the kitchen, 0 when it
+    cannot, and ``UNRESOLVED`` until a search resolves its backward cone
+    (a stocked object starts at 1). A search reads an object's candidates
+    through ``expand(i)`` alone: the ``rules`` of the units producing it,
+    in FOON order, built on first use and kept. So a search that reaches k
+    objects hashes about k objects, once per view, and its loops look up
+    integers only.
     """
 
-    __slots__ = ("kitchen", "producers", "ids", "objects", "stocked", "candidates")
+    __slots__ = ("kitchen", "producers", "ids", "objects", "stocked", "derivable", "candidates")
+    UNRESOLVED = 2
 
     def __init__(self, producers, kitchen):
         self.kitchen = kitchen
@@ -267,6 +271,7 @@ class SearchView:
         self.ids: dict[ObjectNode, int] = {}
         self.objects: list[ObjectNode] = []
         self.stocked = bytearray()
+        self.derivable = bytearray()
         self.candidates: list[list | None] = []
 
     def intern(self, obj: ObjectNode) -> int:
@@ -274,7 +279,9 @@ class SearchView:
         if number is None:
             number = self.ids[obj] = len(self.objects)
             self.objects.append(obj)
-            self.stocked.append(obj in self.kitchen)
+            stocked = obj in self.kitchen
+            self.stocked.append(stocked)
+            self.derivable.append(stocked or self.UNRESOLVED)
             self.candidates.append(None)
         return number
 

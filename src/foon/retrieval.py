@@ -107,27 +107,32 @@ def search_ids(
 ) -> SearchOutcome:
     """Iterative deepening backward search.
 
-    For each depth bound d = 0..max_depth, run a depth-limited DFS:
-    an object is solved if it is in the kitchen, otherwise each producing
-    unit is tried in FOON order, solving every input with budget
-    d - 1 (first success wins). Units are emitted post-order (dependencies
-    first), each once. The set of in-progress objects on the DFS
-    path is one mutable set per iteration, so cyclic knowledge cannot
-    loop the search. The DFS runs on an explicit stack of frames, not on
-    the Python stack, so any ``max_depth`` is safe. A frame holds an
-    iterator over its object's candidates and one over the inputs of the
-    unit it is trying, so a child's result resumes the frame where it
-    stopped. The DFS walks the FOON's ``SearchView`` for ``kitchen``: the
-    path, dead ends and visit counts hold object ids, and objects come
-    back only in the result.
+    A goal that cannot be derived fails at once, ``GoalUnreachable``, on
+    the leaves of its underivable backward cone (the cone if it has none).
+    Otherwise, for each depth bound d = 0..max_depth, run a depth-limited
+    DFS: an object is solved if it is in the kitchen, otherwise each
+    producing unit is tried in FOON order, solving every input with budget
+    d - 1 (first success wins); an underivable object is a dead end.
+    Units are emitted post-order (dependencies first), each once. The
+    in-progress objects on the DFS path are one mutable set per iteration,
+    so cyclic knowledge cannot loop the search. The DFS runs on an explicit
+    stack of frames, so any ``max_depth`` is safe; a frame's iterators over
+    its candidates and over the inputs of the unit it tries resume it where
+    a child stopped. The DFS walks the FOON's ``SearchView`` for
+    ``kitchen`` on object ids. Failing every bound, ``DepthExhausted``,
+    means the goal can be derived only above ``max_depth``.
     """
     view = foon.search_view(kitchen)
     start = view.intern(goal)
     stocked, expand = view.stocked, view.expand
+    derivable = _derivable(view, start)
     visits: dict[int, int] = {}
     per_depth: list[int] = []
-    if not stocked[start] and not expand(start):
-        return _outcome(view, goal, per_depth, visits, FailureReason.GOAL_UNREACHABLE)
+    if not derivable[start]:
+        # A member with no producer blocks the cone; a pure cycle has none.
+        cone = _cone(view, start, lambda node: not derivable[node])
+        return _outcome(view, goal, per_depth, visits, FailureReason.GOAL_UNREACHABLE,
+                        blocked=[node for node in cone if not expand(node)] or cone)
 
     deepest = 0
     reason = FailureReason.DEPTH_EXHAUSTED
@@ -135,11 +140,9 @@ def search_ids(
     # post-order, each once; a frame's subtree is what came after its
     # ``mark``. A frame is [object, its candidates left, the unit being
     # tried, that unit's inputs left, mark]; the iterators are its cursors.
-    dead_ends, emitted = set(), {}
+    emitted = {}
     for depth in range(max_depth + 1):
-        dead_ends.clear()
         emitted.clear()
-        depth_limit_hit = False
         expansions = 0
         path = set()
         stack = []
@@ -147,21 +150,16 @@ def search_ids(
         while True:
             if node is not None:
                 # Open ``node`` at level len(stack), with budget depth - level.
+                # A derivable object not stocked has a candidate.
                 ok = stocked[node]
-                if not ok:
+                if not ok and derivable[node]:
                     level = len(stack)
                     visits[node] = visits.get(node, 0) + 1
                     if level > deepest:
                         deepest = level
-                    if level == depth:
-                        depth_limit_hit = True
-                    else:
-                        candidates = expand(node)
-                        if candidates:
-                            path.add(node)
-                            stack.append([node, iter(candidates), None, None, len(emitted)])
-                        else:
-                            dead_ends.add(node)
+                    if level < depth:
+                        path.add(node)
+                        stack.append([node, iter(expand(node)), None, None, len(emitted)])
             if not stack:
                 break
             frame = stack[-1]
@@ -192,13 +190,8 @@ def search_ids(
         if ok:
             reason = None
             break
-        if not depth_limit_hit:
-            # The failure did not touch the depth bound, so no deeper
-            # iteration can succeed: the goal is structurally unreachable.
-            reason = FailureReason.GOAL_UNREACHABLE
-            break
-    return _outcome(view, goal, per_depth, visits, reason, list(emitted.values()), dead_ends,
-                    deepest)
+    return _outcome(view, goal, per_depth, visits, reason, list(emitted.values()),
+                    deepest=deepest)
 
 
 def _outcome(view, goal, per_depth, visits, reason, units=(), blocked=(), deepest=0):
@@ -243,13 +236,43 @@ def _forward_chain(rules, stocked, waiting, ready, take, put):
                     put(ready, waiter)
 
 
+def _cone(view, start, enter):
+    """``start`` and the ids reached from it through the inputs of every
+    candidate, entering only the ids ``enter`` accepts, in the order reached."""
+    members, seen = [start], {start}
+    for node in members:
+        for _, inputs, _ in view.expand(node):
+            for inp in inputs:
+                if inp not in seen and enter(inp):
+                    seen.add(inp)
+                    members.append(inp)
+    return members
+
+
+def _derivable(view, start) -> bytearray:
+    """``view.derivable`` with ``start`` resolved: the unresolved part of its
+    backward cone is chained forward from what is known, and what is not
+    released stays underivable. So a resolved object's cone is resolved."""
+    derivable = view.derivable
+    if derivable[start] == SearchView.UNRESOLVED:
+        cone = _cone(view, start, lambda node: derivable[node] == SearchView.UNRESOLVED)
+        for node in cone:
+            derivable[node] = 0
+        rules = [rule for node in cone for rule in view.expand(node)]
+        for position in _forward_chain(rules, derivable, {}, [], list.pop, list.append):
+            for out in rules[position][2]:
+                if not derivable[out]:  # in the cone; an output outside stays unresolved
+                    derivable[out] = 1
+    return derivable
+
+
 def derivation_depths(foon: UniversalFOON, kitchen: Kitchen) -> dict[ObjectNode, int]:
     """Every object derivable from ``kitchen``, with its depth: 0 for a
     kitchen item, else one more than the deepest input of its shallowest
-    producer. ``search_ids`` succeeds exactly when the goal's depth is at
-    most ``max_depth``. Chains first in, first out (so level by level) on a
-    ``SearchView`` of its own, leaving the view the searches share as it
-    was."""
+    producer. ``search_ids`` succeeds when the goal's depth is at most
+    ``max_depth``, fails ``DepthExhausted`` when it is deeper and
+    ``GoalUnreachable`` when it has none. Chains first in, first out (so
+    level by level) on its own ``SearchView``, not the one searches share."""
     view = SearchView(foon.producers, kitchen)
     objects, rules = view.objects, view.rules(foon.units)
     depths = dict.fromkeys(kitchen.items, 0)

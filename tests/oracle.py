@@ -1,9 +1,12 @@
-"""Brute-force reference search and a random instance generator.
+"""Brute-force reference search, a failure certificate check and a random
+instance generator.
 
 The oracle enumerates unit subsets in increasing size and returns a valid
 task tree of minimum unit count, so it is an independent ground truth for
 solvability and minimality. It is deliberately naive; keep instances small
-(roughly 15 units or fewer).
+(roughly 15 units or fewer). ``accepts_unreachable`` checks the blocked
+objects of a ``GoalUnreachable`` failure with a fixpoint of its own, so it
+runs on FOONs of any size.
 """
 from __future__ import annotations
 
@@ -90,6 +93,60 @@ def oracle_search(
             if order is not None:
                 return TaskTree(order, goal)
     return None
+
+
+def derivable_objects(foon: UniversalFOON, kitchen: Kitchen) -> set[ObjectNode]:
+    """Every object the kitchen can make: fire any unit whose inputs are all
+    made until none adds an output. Naive on purpose, and independent of
+    the package's forward chaining."""
+    made = set(kitchen.items)
+    grew = True
+    while grew:
+        grew = False
+        for unit in foon.units:
+            if made.issuperset(unit.inputs) and not made.issuperset(unit.outputs):
+                made.update(unit.outputs)
+                grew = True
+    return made
+
+
+def _producers(foon: UniversalFOON) -> dict[ObjectNode, list[FunctionalUnit]]:
+    producers: dict[ObjectNode, list[FunctionalUnit]] = {}
+    for unit in foon.units:
+        for out in unit.outputs:
+            producers.setdefault(out, []).append(unit)
+    return producers
+
+
+def backward_cone(foon: UniversalFOON, goal: ObjectNode, kitchen: Kitchen) -> set[ObjectNode]:
+    """The goal and every input of a producer of a member, stopping at kitchen items."""
+    producers = _producers(foon)
+    cone, todo = {goal}, [goal]
+    while todo:
+        member = todo.pop()
+        if member not in kitchen:
+            for unit in producers.get(member, ()):
+                todo.extend(inp for inp in unit.inputs if inp not in cone)
+                cone.update(unit.inputs)
+    return cone
+
+
+def accepts_unreachable(foon: UniversalFOON, goal: ObjectNode, kitchen: Kitchen,
+                        blocked: list[ObjectNode]) -> bool:
+    """Whether ``blocked`` certifies that ``goal`` cannot be made: the goal
+    and every listed object are neither stocked nor derivable, every listed
+    object lies in the goal's backward cone, and either every listed object
+    has no producer, or none has and every producer of each has an input
+    in the list (an unfounded set: no order of units can make one first)."""
+    made, cone = derivable_objects(foon, kitchen), backward_cone(foon, goal, kitchen)
+    listed = set(blocked)
+    if not listed or goal in made or listed & made or not listed <= cone:
+        return False
+    index = _producers(foon)
+    producers = [index.get(member, []) for member in listed]
+    return (all(not units for units in producers)
+            or all(units and all(listed.intersection(unit.inputs) for unit in units)
+                   for units in producers))
 
 
 @dataclass(frozen=True)

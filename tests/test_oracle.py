@@ -4,9 +4,11 @@ import itertools
 import pytest
 
 from foon import (
+    FailureReason,
     Kitchen,
     SubgraphDocument,
     object_key,
+    search_ids,
     serialize_subgraph,
     validate_task_tree,
 )
@@ -16,6 +18,7 @@ from oracle import (
     BudgetExceeded,
     GeneratorConfig,
     _execution_order,
+    accepts_unreachable,
     generate_instance,
     oracle_search,
 )
@@ -97,6 +100,47 @@ def test_oracle_full_power_set_spot_check():
         else:
             assert best == len(tree.units)
             assert validate_task_tree(tree, kitchen, goal)
+
+
+def _blocked_by_ids(foon, goal, kitchen):
+    failure = search_ids(foon, goal, kitchen).failure
+    assert failure.reason is FailureReason.GOAL_UNREACHABLE
+    return failure.blocked_objects
+
+
+def test_certificate_of_leaves_refuses_a_derivable_or_foreign_object():
+    # goal <- (mid, missing); mid <- base, from the kitchen; extra is made
+    # from base too, outside the goal's cone; missing has no producer.
+    base, mid, missing = obj("base", "raw"), obj("mid", "made"), obj("missing", "raw")
+    goal, extra, spare = obj("goal", "done"), obj("extra", "made"), obj("spare", "raw")
+    foon = build_foon(unit([base], "chop", [mid]), unit([mid, missing], "mix", [goal]),
+                      unit([base], "stir", [extra]))
+    kitchen = Kitchen([base])
+    blocked = _blocked_by_ids(foon, goal, kitchen)
+    assert blocked == [missing]
+    assert accepts_unreachable(foon, goal, kitchen, blocked)
+    # Derivable (in the cone or not), stocked, outside the cone, or the goal
+    # beside a leaf: each is refused, as is an empty list.
+    for added in (mid, extra, base, spare, goal):
+        assert not accepts_unreachable(foon, goal, kitchen, blocked + [added]), added
+    assert not accepts_unreachable(foon, goal, kitchen, [])
+    # A derivable goal has no certificate.
+    assert not accepts_unreachable(foon, mid, kitchen, [missing])
+
+
+def test_certificate_of_a_pure_cycle_is_the_whole_cycle():
+    a, b, base = obj("a", "s"), obj("b", "s"), obj("base", "raw")
+    cycle = [unit([b], "mix", [a]), unit([a], "stir", [b])]
+    foon = build_foon(*cycle)
+    blocked = _blocked_by_ids(foon, a, Kitchen())
+    assert blocked == [a, b]
+    assert accepts_unreachable(foon, a, Kitchen(), blocked)
+    # Dropping a member opens the cycle.
+    assert not accepts_unreachable(foon, a, Kitchen(), [a])
+    assert not accepts_unreachable(foon, a, Kitchen(), [b])
+    # Fed from the kitchen, the cycle is derivable.
+    fed = build_foon(*cycle, unit([base], "chop", [b]))
+    assert not accepts_unreachable(fed, a, Kitchen([base]), blocked)
 
 
 def test_generator_deterministic():

@@ -94,8 +94,24 @@ def test_ids_pure_cycle_is_unreachable():
     foon = build_foon(unit([b], "mix", [a]), unit([a], "stir", [b]))
     outcome = search_ids(foon, a, Kitchen(), max_depth=10)
     assert not outcome.ok
-    # the cycle is pruned without ever hitting the depth bound
+    # Neither object can be derived, so IDS fails before its first
+    # iteration; with no producer-less leaf, the cycle itself is blocked.
     assert outcome.failure.reason is FailureReason.GOAL_UNREACHABLE
+    assert outcome.failure.blocked_objects == [a, b]
+    assert outcome.failure.stats.expansions == 0
+
+
+def test_ids_counts_no_visit_to_an_underivable_object():
+    # x is made only from y, which nothing makes, so the first candidate's
+    # input is a dead end: no visit and no stack level, at any bound.
+    x, y, base, goal = obj("x", "s"), obj("y", "s"), obj("base", "raw"), obj("goal", "done")
+    fallback = unit([base], "bake", [goal])
+    foon = build_foon(unit([y], "mix", [x]), unit([x], "stir", [goal]), fallback)
+    outcome = search_ids(foon, goal, Kitchen([base]), max_depth=5)
+    assert outcome.tree.units == [fallback]
+    stats = outcome.tree.stats
+    assert (stats.per_depth_expansions, stats.max_stack_depth) == ([0, 2], 0)
+    assert stats.object_visits == {goal: 2}
 
 
 def test_ids_deduplicates_shared_dependency():
@@ -242,16 +258,20 @@ def test_ids_verdict_is_monotone_in_the_kitchen():
     assert gained
 
 
+def _verdict(outcome):
+    failure = outcome.failure
+    found = failure and (failure.reason, failure.blocked_objects)
+    return outcome.ok, found, (outcome.tree or failure).stats.depth_limit_reached
+
+
 def test_ids_verdict_does_not_depend_on_unit_order():
-    # Only ``.ok``: on an underivable goal, the order can change the failure
-    # reason and the deepest bound tried. Case (40, 0.8, 41) at max_depth 10
-    # gives GoalUnreachable at 9 as generated, and DepthExhausted at 10 with
-    # its units in random.Random(0).sample order.
+    # The verdict, the failure's reason and blocked objects, and the bound
+    # reached all follow from the goal's derivability and depth alone.
     for case, rng, foon, goal, kitchen in _metamorphic_instances():
         shuffled = UniversalFOON(rng.sample(foon.units, len(foon.units)))
         for max_depth in (4, 10):
-            assert (search_ids(shuffled, goal, kitchen, max_depth).ok
-                    == search_ids(foon, goal, kitchen, max_depth).ok), (case, max_depth)
+            assert (_verdict(search_ids(shuffled, goal, kitchen, max_depth))
+                    == _verdict(search_ids(foon, goal, kitchen, max_depth))), (case, max_depth)
 
 
 def test_depths_of_a_chain_count_its_links(chain):

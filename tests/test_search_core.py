@@ -1,7 +1,10 @@
 """The search core: equal to the frozen reference, linear, and stack-safe.
 
 The differential tests compare every search with the copies in
-``reference_search.py`` field by field. The scaling tests count
+``reference_search.py`` field by field, IDS only where every object of
+the goal's backward cone can be derived; elsewhere IDS, which skips what
+cannot be derived, must return the same tree, no larger counter, and a
+reason that follows derivability. The scaling tests count
 ``ObjectNode.__hash__`` calls, which every set and dict lookup of an
 object makes, and ``ObjectNode.__eq__`` calls, which every scan of a list
 for an object makes, so they gate the complexity class without timing
@@ -19,6 +22,7 @@ from collections import Counter
 import pytest
 
 from foon import (
+    FailureReason,
     FunctionalUnit,
     Kitchen,
     MotionNode,
@@ -40,7 +44,7 @@ from foon.model import SearchView
 import reference_depths
 import reference_search as reference
 from conftest import CORPUS_DIR, build_foon, obj, unit
-from oracle import GeneratorConfig, generate_instance
+from oracle import GeneratorConfig, accepts_unreachable, backward_cone, generate_instance
 
 
 def _summary(outcome):
@@ -63,28 +67,56 @@ def _rates(foon):
 
 
 def _assert_same_as_reference(foon, goal, kitchen, rates, max_depth):
-    assert _summary(search_ids(foon, goal, kitchen, max_depth)) == _summary(
-        reference.search_ids(foon, goal, kitchen, max_depth))
+    """Each search against the reference. Greedy and, when every object of
+    the goal's backward cone can be derived, IDS return exactly what the
+    reference returns, and the result is True. Elsewhere IDS leaves an
+    underivable goal before its first iteration, and an underivable object
+    deeper is a dead end, not a visit. So there it returns the same tree,
+    no counter larger, ``GoalUnreachable`` exactly when the goal cannot be
+    derived, with blocked objects ``accepts_unreachable`` accepts, and
+    ``DepthExhausted`` on the goal alone."""
+    outcome = search_ids(foon, goal, kitchen, max_depth)
+    expected = reference.search_ids(foon, goal, kitchen, max_depth)
+    depths = derivation_depths(foon, kitchen)
+    exact = depths.keys() >= backward_cone(foon, goal, kitchen)
+    if exact:
+        assert _summary(outcome) == _summary(expected)
+    else:
+        *found, (_, per_depth, stack, _, visits) = _summary(outcome)
+        *was, (_, was_per_depth, was_stack, _, was_visits) = _summary(expected)
+        assert outcome.ok == expected.ok
+        assert len(per_depth) <= len(was_per_depth)
+        assert all(now <= then for now, then in zip(per_depth, was_per_depth))
+        assert stack <= was_stack
+        assert all(count <= was_visits.get(key, 0) for key, count in visits.items())
+        if outcome.ok:
+            assert found == was
+        elif goal in depths:
+            assert found[1:] == [FailureReason.DEPTH_EXHAUSTED, [goal]]
+        else:
+            assert found[1] is FailureReason.GOAL_UNREACHABLE
+            assert accepts_unreachable(foon, goal, kitchen, found[2])
     assert _summary(search_gbfs_rate(foon, goal, kitchen, rates)) == _summary(
         reference._search_greedy(foon, goal, kitchen,
                                  lambda u: -rates.rate(u.motion.label)))
     assert _summary(search_gbfs_inputs(foon, goal, kitchen)) == _summary(
         reference._search_greedy(foon, goal, kitchen, lambda u: len(u.inputs)))
+    return exact
 
 
 @pytest.mark.parametrize("max_units, kitchen_fraction", [
     (10, 0.8), (40, 0.8), (40, 0.5), (200, 0.8), (200, 0.6),
 ])
 def test_searches_match_reference_on_generator_seeds(max_units, kitchen_fraction):
-    outcomes = set()
+    outcomes, exact = set(), set()
     for seed in range(60):
         cfg = GeneratorConfig(max_units=max_units, max_branching=4, max_inputs_per_unit=3,
                               kitchen_fraction=kitchen_fraction, seed=seed)
         foon, goal, kitchen = generate_instance(cfg)
         rates = _rates(foon)
-        _assert_same_as_reference(foon, goal, kitchen, rates, max_depth=max_units)
+        exact.add(_assert_same_as_reference(foon, goal, kitchen, rates, max_depth=max_units))
         outcomes.add(search_gbfs_rate(foon, goal, kitchen, rates).ok)
-    assert outcomes == {True, False}
+    assert outcomes == exact == {True, False}
 
 
 @pytest.mark.parametrize("withheld_every", [0, 3])
@@ -347,6 +379,18 @@ def test_ids_succeeds_exactly_when_the_goal_is_within_its_derivation_depth():
     assert len(verdicts) == 3, verdicts
 
 
+def test_ids_fails_an_underivable_goal_before_its_first_iteration():
+    # 1,259 units. The goal cannot be derived; IDS once tried all 19 bounds
+    # on it, 2,891,374 expansions, and reported DepthExhausted.
+    foon, goal, kitchen = generate_instance(GeneratorConfig(
+        max_units=2000, kitchen_fraction=0.6, seed=4))
+    assert goal not in derivation_depths(foon, kitchen)
+    failure = search_ids(foon, goal, kitchen, max_depth=18).failure
+    assert failure.reason is FailureReason.GOAL_UNREACHABLE
+    assert (failure.stats.expansions, failure.stats.per_depth_expansions) == (0, [])
+    assert accepts_unreachable(foon, goal, kitchen, failure.blocked_objects)
+
+
 @pytest.mark.parametrize("search", [search_ids, search_gbfs_rate, search_gbfs_inputs])
 def test_a_search_interns_the_objects_it_reaches_not_the_foon(search):
     padding = [unit([obj(f"pad{i}", "raw")], "stir", [obj(f"pad{i}", "made")])
@@ -355,6 +399,20 @@ def test_a_search_interns_the_objects_it_reaches_not_the_foon(search):
     foon = build_foon(*padding, *links)
     assert search(foon, goal, kitchen).ok
     assert len(foon.search_view(kitchen).objects) == 6
+
+
+def test_ids_on_a_shared_view_returns_what_it_does_on_a_fresh_one():
+    # Searching a resolves it, and fires ``split``, which also makes z. z's
+    # own cone, where w cannot be derived, is resolved only when z is the
+    # goal, so the search for z may not take w for derivable.
+    base, a, z = obj("base", "raw"), obj("a", "made"), obj("z", "made")
+    w, v = obj("w", "made"), obj("v", "raw")
+    units = [unit([v], "mix", [w]), unit([w], "stir", [z]), unit([base], "split", [a, z])]
+    shared, kitchen = build_foon(*units), Kitchen([base])
+    assert search_ids(shared, a, kitchen).ok
+    outcome = search_ids(shared, z, kitchen)
+    assert _summary(outcome) == _summary(search_ids(build_foon(*units), z, kitchen))
+    assert outcome.tree.stats.object_visits == {z: 2}
 
 
 def _views_built(monkeypatch, argv):
