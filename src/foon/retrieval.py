@@ -1,11 +1,11 @@
 """Task-tree retrieval: iterative deepening search and two greedy heuristics.
 
-All three algorithms search backwards from the goal object. A candidate
-unit for an object is any unit producing it; a unit is usable once every
-input is in the kitchen or derivable. IDS explores with an increasing
-depth bound and backtracks; the greedy searches commit to one candidate
-per object (best motion rate, or fewest inputs) and never backtrack, so
-they can fail on instances IDS solves.
+All three algorithms search backwards from the goal object, and all fail
+a goal the kitchen cannot derive alike, ``GoalUnreachable``. A candidate
+unit for an object is any unit producing it. IDS explores with an
+increasing depth bound and backtracks; the greedy searches commit to one
+candidate per object (best motion rate, or fewest inputs) and never
+backtrack, so they can fail on instances IDS solves.
 """
 from __future__ import annotations
 
@@ -107,8 +107,7 @@ def search_ids(
 ) -> SearchOutcome:
     """Iterative deepening backward search.
 
-    A goal that cannot be derived fails at once, ``GoalUnreachable``, on
-    the leaves of its underivable backward cone (the cone if it has none).
+    A goal that cannot be derived fails at once, as ``_unreachable`` says.
     Otherwise, for each depth bound d = 0..max_depth, run a depth-limited
     DFS: an object is solved if it is in the kitchen, otherwise each
     producing unit is tried in FOON order, solving every input with budget
@@ -124,16 +123,12 @@ def search_ids(
     """
     view = foon.search_view(kitchen)
     start = view.intern(goal)
-    stocked, expand = view.stocked, view.expand
-    derivable = _derivable(view, start)
+    unreachable = _unreachable(view, goal, start)
+    if unreachable is not None:
+        return unreachable
+    stocked, expand, derivable = view.stocked, view.expand, view.derivable
     visits: dict[int, int] = {}
     per_depth: list[int] = []
-    if not derivable[start]:
-        # A member with no producer blocks the cone; a pure cycle has none.
-        cone = _cone(view, start, lambda node: not derivable[node])
-        return _outcome(view, goal, per_depth, visits, FailureReason.GOAL_UNREACHABLE,
-                        blocked=[node for node in cone if not expand(node)] or cone)
-
     deepest = 0
     reason = FailureReason.DEPTH_EXHAUSTED
     # ``emitted`` maps id(unit) to unit for every solved subtree's units,
@@ -196,14 +191,16 @@ def search_ids(
 
 def _outcome(view, goal, per_depth, visits, reason, units=(), blocked=(), deepest=0):
     """What every search returns: the tree of ``units`` if ``reason`` is
-    None, else a failure on the ``blocked`` ids (in ``object_key`` order) or
-    the goal. Its stats hold ``per_depth``, one entry per depth bound tried,
-    and their sum, ``visits`` as objects and ``deepest``."""
+    None, else a failure on the ``blocked`` ids' leaves (those no unit
+    produces, or all for a pure cycle) in ``object_key`` order, or the goal.
+    Its stats hold ``per_depth``, one entry per depth bound tried, and their
+    sum, ``visits`` as objects and ``deepest``."""
     objects = view.objects
     stats = SearchStats(sum(per_depth), deepest, max(len(per_depth) - 1, 0), per_depth,
                         {objects[node]: count for node, count in visits.items()})
     if reason is None:
         return SearchOutcome(tree=TaskTree(units, goal, stats))
+    blocked = [node for node in blocked if not view.expand(node)] or blocked
     blocked = sorted([objects[node] for node in blocked], key=object_key)
     return SearchOutcome(failure=SearchFailure(reason, blocked or [goal], stats))
 
@@ -249,10 +246,13 @@ def _cone(view, start, enter):
     return members
 
 
-def _derivable(view, start) -> bytearray:
-    """``view.derivable`` with ``start`` resolved: the unresolved part of its
-    backward cone is chained forward from what is known, and what is not
-    released stays underivable. So a resolved object's cone is resolved."""
+def _unreachable(view, goal, start):
+    """Every search's one ``GoalUnreachable``: None if ``start`` can be
+    derived, else that failure on its underivable backward cone, at 0
+    expansions. ``view.derivable`` is resolved for ``start`` first: the
+    unresolved part of its cone is chained forward from what is known, and
+    what is not released stays underivable. So a resolved object's cone is
+    resolved."""
     derivable = view.derivable
     if derivable[start] == SearchView.UNRESOLVED:
         cone = _cone(view, start, lambda node: derivable[node] == SearchView.UNRESOLVED)
@@ -263,16 +263,19 @@ def _derivable(view, start) -> bytearray:
             for out in rules[position][2]:
                 if not derivable[out]:  # in the cone; an output outside stays unresolved
                     derivable[out] = 1
-    return derivable
+    if derivable[start]:
+        return None
+    return _outcome(view, goal, [], {}, FailureReason.GOAL_UNREACHABLE,
+                    blocked=_cone(view, start, lambda node: not derivable[node]))
 
 
 def derivation_depths(foon: UniversalFOON, kitchen: Kitchen) -> dict[ObjectNode, int]:
     """Every object derivable from ``kitchen``, with its depth: 0 for a
     kitchen item, else one more than the deepest input of its shallowest
-    producer. ``search_ids`` succeeds when the goal's depth is at most
-    ``max_depth``, fails ``DepthExhausted`` when it is deeper and
-    ``GoalUnreachable`` when it has none. Chains first in, first out (so
-    level by level) on its own ``SearchView``, not the one searches share."""
+    producer. Every search fails ``GoalUnreachable`` on a goal with no
+    depth; ``search_ids`` succeeds on one at most ``max_depth`` deep and
+    fails ``DepthExhausted`` on a deeper one. Chains first in, first out
+    (so level by level) on its own ``SearchView``, not the one searches share."""
     view = SearchView(foon.producers, kitchen)
     objects, rules = view.objects, view.rules(foon.units)
     depths = dict.fromkeys(kitchen.items, 0)
@@ -287,14 +290,17 @@ def derivation_depths(foon: UniversalFOON, kitchen: Kitchen) -> dict[ObjectNode,
 
 
 def _search_greedy(foon, goal, kitchen, selection_key) -> SearchOutcome:
-    """Forward-committing backward search: each object reached, from the
-    goal breadth-first, gets the candidate with the least
+    """Forward-committing backward search on a derivable goal: each object
+    reached, from the goal breadth-first, gets the candidate with the least
     ``selection_key``, which takes a ``(unit, input ids, output ids)``
-    candidate of the FOON's ``SearchView`` for ``kitchen``. The visits,
-    the queue and the blocked set hold object ids; objects come back only
-    in the result."""
+    candidate of the FOON's ``SearchView`` for ``kitchen``. Forward
+    chaining orders the selection; what it never releases fails it,
+    ``UnsatisfiedLeaves``. Visits and queue hold ids, not objects."""
     view = foon.search_view(kitchen)
     start = view.intern(goal)
+    unreachable = _unreachable(view, goal, start)
+    if unreachable is not None:
+        return unreachable
     stocked, expand = view.stocked, view.expand
     # Each object not in the kitchen is queued once, when it enters ``visits``.
     visits: dict[int, int] = {} if stocked[start] else {start: 1}
@@ -302,14 +308,11 @@ def _search_greedy(foon, goal, kitchen, selection_key) -> SearchOutcome:
     # Chosen candidates, once each, in discovery order. One unit can be
     # chosen for several of its outputs; a FOON holds each unit as one object.
     selected: dict[int, tuple] = {}
-    blocked = set()
     expansions = 0
     while queue:
-        node = queue.popleft()
-        candidates = expand(node)
+        candidates = expand(queue.popleft())
         expansions += len(candidates)
         if not candidates:
-            blocked.add(node)
             continue
         # Candidates are in FOON order and min keeps the first of equal
         # keys, so ties go to the earliest unit.
@@ -320,14 +323,9 @@ def _search_greedy(foon, goal, kitchen, selection_key) -> SearchOutcome:
                 visits[inp] = 1
                 queue.append(inp)
 
-    if blocked:
-        reason = (FailureReason.GOAL_UNREACHABLE if start in blocked
-                  else FailureReason.UNSATISFIED_LEAVES)
-        return _outcome(view, goal, [expansions], visits, reason, blocked=blocked)
-
     # Forward chaining orders the selection, firing the earliest-discovered
     # ready unit first: readiness is monotone, so a min-heap of positions
-    # finds it. Objects never released block the selection.
+    # finds it. Objects never released, any with no candidate too, block it.
     chosen = list(selected.values())
     waiting: dict[int, list[int]] = {}
     ordered = [chosen[position][0] for position in

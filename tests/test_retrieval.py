@@ -165,13 +165,16 @@ def test_gbfs_inputs_picks_fewest_inputs():
 
 
 def test_gbfs_unsatisfied_leaves():
-    goal = obj("goal", "done")
-    missing = obj("missing", "raw")
-    foon = build_foon(unit([missing], "mix", [goal]))
-    outcome = search_gbfs_rate(foon, goal, Kitchen())
+    # The goal can be baked, but the rates prefer mix, whose input nothing
+    # makes: the greedy choice, not the goal, is the dead end.
+    goal, base, missing = obj("goal", "done"), obj("base", "raw"), obj("missing", "raw")
+    foon = build_foon(unit([missing], "mix", [goal]), unit([base], "bake", [goal]))
+    kitchen = Kitchen([base])
+    outcome = search_gbfs_rate(foon, goal, kitchen, MotionRateTable({"mix": 0.9, "bake": 0.1}))
     assert not outcome.ok
     assert outcome.failure.reason is FailureReason.UNSATISFIED_LEAVES
     assert [o.name for o in outcome.failure.blocked_objects] == ["missing"]
+    assert search_ids(foon, goal, kitchen).ok
 
 
 def test_gbfs_goal_unreachable():
@@ -179,6 +182,15 @@ def test_gbfs_goal_unreachable():
     outcome = search_gbfs_inputs(foon, obj("nothing"), Kitchen())
     assert not outcome.ok
     assert outcome.failure.reason is FailureReason.GOAL_UNREACHABLE
+    # A goal whose one producer needs what nothing makes cannot be derived
+    # either: both searches fail it as IDS does, before expanding anything.
+    goal, missing = obj("goal", "done"), obj("missing", "raw")
+    foon = build_foon(unit([missing], "mix", [goal]))
+    for search in (search_ids, search_gbfs_rate, search_gbfs_inputs):
+        failure = search(foon, goal, Kitchen()).failure
+        assert (failure.reason, failure.blocked_objects) == (
+            FailureReason.GOAL_UNREACHABLE, [missing])
+        assert failure.stats.expansions == 0
 
 
 def test_gbfs_output_is_executable_order(chain):
@@ -242,18 +254,29 @@ def _metamorphic_instances():
         yield (max_units, kitchen_fraction, seed), random.Random(seed), foon, goal, kitchen
 
 
+def _is_unreachable(outcome):
+    return not outcome.ok and outcome.failure.reason is FailureReason.GOAL_UNREACHABLE
+
+
 def test_ids_verdict_is_monotone_in_the_kitchen():
     # A stocked object ends every path through it, and the depth-bounded
-    # DFS tries every candidate, so more items never undo a success.
+    # DFS tries every candidate, so more items never undo a success. More
+    # items derive no less, and nothing deeper, so no search finds a goal
+    # unreachable that a smaller kitchen could reach.
     gained = 0
     for case, rng, foon, goal, kitchen in _metamorphic_instances():
         objects = dict.fromkeys(o for u in foon.units for o in (*u.inputs, *u.outputs))
         larger = Kitchen(kitchen.items + [o for o in objects if rng.random() < 0.3])
+        depths, larger_depths = derivation_depths(foon, kitchen), derivation_depths(foon, larger)
+        assert all(larger_depths.get(o, depth + 1) <= depth for o, depth in depths.items()), case
         for max_depth in (4, 10):
             before = search_ids(foon, goal, kitchen, max_depth).ok
             after = search_ids(foon, goal, larger, max_depth).ok
             assert after or not before, (case, max_depth)
             gained += after and not before
+        for search in (search_gbfs_rate, search_gbfs_inputs):
+            assert (not _is_unreachable(search(foon, goal, larger))
+                    or _is_unreachable(search(foon, goal, kitchen))), case
     # Some failures turn into successes, so the larger kitchens matter.
     assert gained
 
@@ -266,12 +289,21 @@ def _verdict(outcome):
 
 def test_ids_verdict_does_not_depend_on_unit_order():
     # The verdict, the failure's reason and blocked objects, and the bound
-    # reached all follow from the goal's derivability and depth alone.
+    # reached all follow from the goal's derivability and depth alone. So
+    # do the greedy searches' on a goal that cannot be derived; elsewhere
+    # their ties go to the earliest unit, by design.
+    underivable = 0
     for case, rng, foon, goal, kitchen in _metamorphic_instances():
         shuffled = UniversalFOON(rng.sample(foon.units, len(foon.units)))
         for max_depth in (4, 10):
             assert (_verdict(search_ids(shuffled, goal, kitchen, max_depth))
                     == _verdict(search_ids(foon, goal, kitchen, max_depth))), (case, max_depth)
+        if goal not in derivation_depths(foon, kitchen):
+            underivable += 1
+            for search in (search_gbfs_rate, search_gbfs_inputs):
+                assert (_verdict(search(shuffled, goal, kitchen))
+                        == _verdict(search(foon, goal, kitchen))), case
+    assert underivable
 
 
 def test_depths_of_a_chain_count_its_links(chain):

@@ -1,10 +1,12 @@
 """The search core: equal to the frozen reference, linear, and stack-safe.
 
 The differential tests compare every search with the copies in
-``reference_search.py`` field by field, IDS only where every object of
-the goal's backward cone can be derived; elsewhere IDS, which skips what
-cannot be derived, must return the same tree, no larger counter, and a
-reason that follows derivability. The scaling tests count
+``reference_search.py`` field by field: IDS where every object of the
+goal's backward cone can be derived, the greedy searches where the goal
+can be. Elsewhere IDS, which skips what cannot be derived, must return
+the same tree, no larger counter, and a reason that follows
+derivability, and on a goal that cannot be derived the greedy searches
+must return exactly IDS's ``GoalUnreachable``. The scaling tests count
 ``ObjectNode.__hash__`` calls, which every set and dict lookup of an
 object makes, and ``ObjectNode.__eq__`` calls, which every scan of a list
 for an object makes, so they gate the complexity class without timing
@@ -29,6 +31,7 @@ from foon import (
     MotionRateTable,
     ObjectNode,
     TaskTree,
+    UniversalFOON,
     derivation_depths,
     merge,
     object_key,
@@ -67,14 +70,16 @@ def _rates(foon):
 
 
 def _assert_same_as_reference(foon, goal, kitchen, rates, max_depth):
-    """Each search against the reference. Greedy and, when every object of
-    the goal's backward cone can be derived, IDS return exactly what the
-    reference returns, and the result is True. Elsewhere IDS leaves an
-    underivable goal before its first iteration, and an underivable object
-    deeper is a dead end, not a visit. So there it returns the same tree,
-    no counter larger, ``GoalUnreachable`` exactly when the goal cannot be
-    derived, with blocked objects ``accepts_unreachable`` accepts, and
-    ``DepthExhausted`` on the goal alone."""
+    """Each search against the reference. When every object of the goal's
+    backward cone can be derived, IDS returns exactly what the reference
+    returns, and the result is True. Elsewhere IDS leaves an underivable
+    goal before its first iteration, and an underivable object deeper is a
+    dead end, not a visit. So there it returns the same tree, no counter
+    larger, ``GoalUnreachable`` exactly when the goal cannot be derived,
+    with blocked objects ``accepts_unreachable`` accepts, and
+    ``DepthExhausted`` on the goal alone. The greedy searches return
+    exactly what the reference returns when the goal can be derived, and
+    exactly what IDS returns when it cannot."""
     outcome = search_ids(foon, goal, kitchen, max_depth)
     expected = reference.search_ids(foon, goal, kitchen, max_depth)
     depths = derivation_depths(foon, kitchen)
@@ -96,11 +101,13 @@ def _assert_same_as_reference(foon, goal, kitchen, rates, max_depth):
         else:
             assert found[1] is FailureReason.GOAL_UNREACHABLE
             assert accepts_unreachable(foon, goal, kitchen, found[2])
-    assert _summary(search_gbfs_rate(foon, goal, kitchen, rates)) == _summary(
-        reference._search_greedy(foon, goal, kitchen,
-                                 lambda u: -rates.rate(u.motion.label)))
-    assert _summary(search_gbfs_inputs(foon, goal, kitchen)) == _summary(
-        reference._search_greedy(foon, goal, kitchen, lambda u: len(u.inputs)))
+    for found, selection_key in (
+        (search_gbfs_rate(foon, goal, kitchen, rates), lambda u: -rates.rate(u.motion.label)),
+        (search_gbfs_inputs(foon, goal, kitchen), lambda u: len(u.inputs)),
+    ):
+        assert _summary(found) == _summary(
+            reference._search_greedy(foon, goal, kitchen, selection_key)
+            if goal in depths else outcome)
     return exact
 
 
@@ -381,14 +388,19 @@ def test_ids_succeeds_exactly_when_the_goal_is_within_its_derivation_depth():
 
 def test_ids_fails_an_underivable_goal_before_its_first_iteration():
     # 1,259 units. The goal cannot be derived; IDS once tried all 19 bounds
-    # on it, 2,891,374 expansions, and reported DepthExhausted.
+    # on it, 2,891,374 expansions, and reported DepthExhausted, and the
+    # greedy searches reported UnsatisfiedLeaves on different objects. Now
+    # all three fail it alike, each on a view of its own.
     foon, goal, kitchen = generate_instance(GeneratorConfig(
         max_units=2000, kitchen_fraction=0.6, seed=4))
     assert goal not in derivation_depths(foon, kitchen)
-    failure = search_ids(foon, goal, kitchen, max_depth=18).failure
-    assert failure.reason is FailureReason.GOAL_UNREACHABLE
-    assert (failure.stats.expansions, failure.stats.per_depth_expansions) == (0, [])
-    assert accepts_unreachable(foon, goal, kitchen, failure.blocked_objects)
+    for search in (lambda *args: search_ids(*args, max_depth=18),
+                   search_gbfs_rate, search_gbfs_inputs):
+        failure = search(UniversalFOON(foon.units), goal, kitchen).failure
+        assert failure.reason is FailureReason.GOAL_UNREACHABLE
+        assert (failure.stats.expansions, failure.stats.per_depth_expansions) == (0, [])
+        assert [object_key(o) for o in failure.blocked_objects] == ["base0;raw;", "base1;raw;"]
+        assert accepts_unreachable(foon, goal, kitchen, failure.blocked_objects)
 
 
 @pytest.mark.parametrize("search", [search_ids, search_gbfs_rate, search_gbfs_inputs])
