@@ -253,17 +253,17 @@ class SearchView:
     An object gets the next id when a search first reaches it, through
     ``intern``; ``objects[i]`` is object ``i``, the first equal instance
     reached, and ``stocked[i]`` is 1 when it is in the kitchen.
-    ``derivable[i]`` is 1 when it can be made from the kitchen, 0 when it
-    cannot, and ``UNRESOLVED`` until a search resolves its backward cone
-    (a stocked object starts at 1). A search reads an object's candidates
+    ``depth[i]`` is its derivation depth from the kitchen (0 when stocked),
+    ``UNDERIVABLE`` when it cannot be made, and ``UNRESOLVED`` until a
+    search resolves its backward cone. A search reads an object's candidates
     through ``expand(i)`` alone: the ``rules`` of the units producing it,
     in FOON order, built on first use and kept. So a search that reaches k
     objects hashes about k objects, once per view, and its loops look up
     integers only.
     """
 
-    __slots__ = ("kitchen", "producers", "ids", "objects", "stocked", "derivable", "candidates")
-    UNRESOLVED = 2
+    __slots__ = ("kitchen", "producers", "ids", "objects", "stocked", "depth", "candidates")
+    UNRESOLVED, UNDERIVABLE = -1, -2
 
     def __init__(self, producers, kitchen):
         self.kitchen = kitchen
@@ -271,7 +271,7 @@ class SearchView:
         self.ids: dict[ObjectNode, int] = {}
         self.objects: list[ObjectNode] = []
         self.stocked = bytearray()
-        self.derivable = bytearray()
+        self.depth: list[int] = []
         self.candidates: list[list | None] = []
 
     def intern(self, obj: ObjectNode) -> int:
@@ -281,7 +281,7 @@ class SearchView:
             self.objects.append(obj)
             stocked = obj in self.kitchen
             self.stocked.append(stocked)
-            self.derivable.append(stocked or self.UNRESOLVED)
+            self.depth.append(0 if stocked else self.UNRESOLVED)
             self.candidates.append(None)
         return number
 

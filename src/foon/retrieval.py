@@ -107,36 +107,35 @@ def search_ids(
 ) -> SearchOutcome:
     """Iterative deepening backward search.
 
-    A goal that cannot be derived fails at once, as ``_unreachable`` says.
-    Otherwise, for each depth bound d = 0..max_depth, run a depth-limited
-    DFS: an object is solved if it is in the kitchen, otherwise each
-    producing unit is tried in FOON order, solving every input with budget
-    d - 1 (first success wins); an underivable object is a dead end.
-    Units are emitted post-order (dependencies first), each once. The
-    in-progress objects on the DFS path are one mutable set per iteration,
-    so cyclic knowledge cannot loop the search. The DFS runs on an explicit
-    stack of frames, so any ``max_depth`` is safe; a frame's iterators over
-    its candidates and over the inputs of the unit it tries resume it where
-    a child stopped. The DFS walks the FOON's ``SearchView`` for
-    ``kitchen`` on object ids. Failing every bound, ``DepthExhausted``,
-    means the goal can be derived only above ``max_depth``.
+    A goal that cannot be derived, or only deeper than ``max_depth``, fails
+    at once, as ``_unreachable`` says. Otherwise, for each bound d from 0 to
+    the goal's depth, run a depth-limited DFS: an object is solved if it is
+    in the kitchen, otherwise each producing unit is tried in FOON order,
+    solving every input with budget d - 1 (first success wins); an
+    underivable object is a dead end. Units are emitted post-order, each
+    once. The objects on the DFS path are one set per iteration, so cycles
+    cannot loop the search. The DFS runs on an explicit stack of frames, so
+    any depth is safe; a frame's iterators over its candidates and over the
+    inputs of the unit it tries resume it where a child stopped. Only the
+    last bound succeeds: a tree found at bound d is at most d deep, and the
+    path never prunes an object's shallowest producer, whose inputs are
+    shallower than every object on it.
     """
     view = foon.search_view(kitchen)
     start = view.intern(goal)
-    unreachable = _unreachable(view, goal, start)
-    if unreachable is not None:
-        return unreachable
-    stocked, expand, derivable = view.stocked, view.expand, view.derivable
+    failure = _unreachable(view, goal, start, max_depth)
+    if failure is not None:
+        return failure
+    stocked, expand, depths, dead = view.stocked, view.expand, view.depth, SearchView.UNDERIVABLE
     visits: dict[int, int] = {}
     per_depth: list[int] = []
     deepest = 0
-    reason = FailureReason.DEPTH_EXHAUSTED
     # ``emitted`` maps id(unit) to unit for every solved subtree's units,
     # post-order, each once; a frame's subtree is what came after its
     # ``mark``. A frame is [object, its candidates left, the unit being
     # tried, that unit's inputs left, mark]; the iterators are its cursors.
     emitted = {}
-    for depth in range(max_depth + 1):
+    for bound in range(depths[start] + 1):
         emitted.clear()
         expansions = 0
         path = set()
@@ -144,15 +143,15 @@ def search_ids(
         node = start
         while True:
             if node is not None:
-                # Open ``node`` at level len(stack), with budget depth - level.
+                # Open ``node`` at level len(stack), with budget bound - level.
                 # A derivable object not stocked has a candidate.
                 ok = stocked[node]
-                if not ok and derivable[node]:
+                if not ok and depths[node] != dead:
                     level = len(stack)
                     visits[node] = visits.get(node, 0) + 1
                     if level > deepest:
                         deepest = level
-                    if level < depth:
+                    if level < bound:
                         path.add(node)
                         stack.append([node, iter(expand(node)), None, None, len(emitted)])
             if not stack:
@@ -182,11 +181,7 @@ def search_ids(
                 path.discard(frame[0])
                 ok = True
         per_depth.append(expansions)
-        if ok:
-            reason = None
-            break
-    return _outcome(view, goal, per_depth, visits, reason, list(emitted.values()),
-                    deepest=deepest)
+    return _outcome(view, goal, per_depth, visits, None, list(emitted.values()), deepest=deepest)
 
 
 def _outcome(view, goal, per_depth, visits, reason, units=(), blocked=(), deepest=0):
@@ -209,12 +204,12 @@ def _forward_chain(rules, stocked, waiting, ready, take, put):
     """Linear forward chaining (Dowling & Gallier, 1984) on ``SearchView`` ids.
 
     Each rule ``(unit, input ids, output ids)`` counts its inputs not
-    ``stocked``, and each such object lists in ``waiting`` the rules waiting
-    on it. The rules ready at the start go into ``ready``, positions
-    ascending. Then, while ``ready`` is not empty, ``take(ready)`` removes a
-    rule, its position is yielded, and its outputs are released, each once:
-    ``put(ready, position)`` adds each rule a release readies. The objects
-    never released stay in ``waiting``.
+    ``stocked``; each such object lists in ``waiting`` the rules waiting on
+    it. The rules ready at the start go into ``ready`` (a deque for level
+    order, or a heap), positions ascending. While it is not empty,
+    ``take(ready)`` removes a rule, its position is yielded, and its outputs
+    are released, each once: ``put(ready, position)`` adds each rule a
+    release readies. Objects never released stay in ``waiting``.
     """
     missing = [0] * len(rules)
     for position, (_, inputs, _) in enumerate(rules):
@@ -246,27 +241,37 @@ def _cone(view, start, enter):
     return members
 
 
-def _unreachable(view, goal, start):
-    """Every search's one ``GoalUnreachable``: None if ``start`` can be
-    derived, else that failure on its underivable backward cone, at 0
-    expansions. ``view.derivable`` is resolved for ``start`` first: the
-    unresolved part of its cone is chained forward from what is known, and
-    what is not released stays underivable. So a resolved object's cone is
-    resolved."""
-    derivable = view.derivable
-    if derivable[start] == SearchView.UNRESOLVED:
-        cone = _cone(view, start, lambda node: derivable[node] == SearchView.UNRESOLVED)
+def _unreachable(view, goal, start, max_depth=None):
+    """Every search's check before it expands anything: ``GoalUnreachable``
+    on the leaves of ``start``'s underivable cone, or, given ``max_depth``,
+    ``DepthExhausted`` if it is deeper, or None. ``_levels`` over the cone's
+    candidates gives its exact ``view.depth``: derivations use no others."""
+    depth, stocked = view.depth, view.stocked
+    if depth[start] == SearchView.UNRESOLVED:
+        cone = _cone(view, start, lambda node: not stocked[node])
+        found = _levels(view, [rule for node in cone for rule in view.expand(node)])
         for node in cone:
-            derivable[node] = 0
-        rules = [rule for node in cone for rule in view.expand(node)]
-        for position in _forward_chain(rules, derivable, {}, [], list.pop, list.append):
-            for out in rules[position][2]:
-                if not derivable[out]:  # in the cone; an output outside stays unresolved
-                    derivable[out] = 1
-    if derivable[start]:
-        return None
-    return _outcome(view, goal, [], {}, FailureReason.GOAL_UNREACHABLE,
-                    blocked=_cone(view, start, lambda node: not derivable[node]))
+            depth[node] = found.get(node, SearchView.UNDERIVABLE)
+    if depth[start] == SearchView.UNDERIVABLE:
+        return _outcome(view, goal, [], {}, FailureReason.GOAL_UNREACHABLE, blocked=_cone(
+            view, start, lambda node: depth[node] == SearchView.UNDERIVABLE))
+    if max_depth is not None and depth[start] > max_depth:
+        return _outcome(view, goal, [], {}, FailureReason.DEPTH_EXHAUSTED)
+    return None
+
+
+def _levels(view, rules):
+    """Each id that ``rules`` derive from ``view``'s stocked ids, not
+    stocked itself, with its depth, in the order derived: chained first in,
+    first out, so level by level, and an id's first depth is its least."""
+    stocked, depths = view.stocked, {}
+    for position in _forward_chain(rules, stocked, {}, deque(), deque.popleft, deque.append):
+        _, inputs, outputs = rules[position]
+        depth = max([depths.get(inp, 0) for inp in inputs]) + 1
+        for out in outputs:
+            if not stocked[out]:
+                depths.setdefault(out, depth)
+    return depths
 
 
 def derivation_depths(foon: UniversalFOON, kitchen: Kitchen) -> dict[ObjectNode, int]:
@@ -274,18 +279,12 @@ def derivation_depths(foon: UniversalFOON, kitchen: Kitchen) -> dict[ObjectNode,
     kitchen item, else one more than the deepest input of its shallowest
     producer. Every search fails ``GoalUnreachable`` on a goal with no
     depth; ``search_ids`` succeeds on one at most ``max_depth`` deep and
-    fails ``DepthExhausted`` on a deeper one. Chains first in, first out
-    (so level by level) on its own ``SearchView``, not the one searches share."""
+    fails ``DepthExhausted`` on a deeper one. ``_levels`` over the whole
+    FOON, on a ``SearchView`` of its own."""
     view = SearchView(foon.producers, kitchen)
-    objects, rules = view.objects, view.rules(foon.units)
     depths = dict.fromkeys(kitchen.items, 0)
-    # Each id's depth: 0 if stocked, set when it is derived, before it is read.
-    level = [0] * len(objects)
-    for position in _forward_chain(rules, view.stocked, {}, deque(), deque.popleft, deque.append):
-        _, inputs, outputs = rules[position]
-        depth = max(map(level.__getitem__, inputs)) + 1
-        for out in outputs:
-            level[out] = depths.setdefault(objects[out], depth)
+    for node, depth in _levels(view, view.rules(foon.units)).items():
+        depths[view.objects[node]] = depth
     return depths
 
 

@@ -4,9 +4,10 @@ instance generator.
 The oracle enumerates unit subsets in increasing size and returns a valid
 task tree of minimum unit count, so it is an independent ground truth for
 solvability and minimality. It is deliberately naive; keep instances small
-(roughly 15 units or fewer). ``accepts_unreachable`` checks the blocked
-objects of a ``GoalUnreachable`` failure with a fixpoint of its own, so it
-runs on FOONs of any size.
+(roughly 15 units or fewer). ``accepts_unreachable`` and
+``accepts_depth_exhausted`` check a ``GoalUnreachable`` and a
+``DepthExhausted`` failure with fixpoints of their own, so they run on
+FOONs of any size.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from foon.model import (
     ObjectNode,
     UniversalFOON,
 )
-from foon.retrieval import TaskTree, derivation_depths
+from foon.retrieval import TaskTree
 
 DEFAULT_NODE_BUDGET = 10**6
 
@@ -74,10 +75,8 @@ def oracle_search(
     if goal in kitchen:
         return TaskTree([], goal)
     # If the goal is not derivable with every unit available, no subset
-    # can derive it either; skip the exponential enumeration. This filter
-    # is the package's own forward chaining; the enumeration and
-    # ``_execution_order`` below stay independent of it.
-    if goal not in derivation_depths(foon, kitchen):
+    # can derive it either; skip the exponential enumeration.
+    if goal not in derivable_objects(foon, kitchen):
         return None
 
     limit = len(foon) if max_units is None else min(max_units, len(foon))
@@ -108,6 +107,23 @@ def derivable_objects(foon: UniversalFOON, kitchen: Kitchen) -> set[ObjectNode]:
                 made.update(unit.outputs)
                 grew = True
     return made
+
+
+def accepts_depth_exhausted(foon: UniversalFOON, goal: ObjectNode, kitchen: Kitchen,
+                            max_depth: int) -> bool:
+    """Whether a ``DepthExhausted`` failure holds: ``goal`` can be made, but
+    only deeper than ``max_depth``. Its depth is the round in which it is
+    first made, when each round fires every unit whose inputs earlier
+    rounds made (the kitchen is round 0). Naive on purpose."""
+    made, depth = set(kitchen.items), 0
+    while goal not in made:
+        grown = {out for unit in foon.units if made.issuperset(unit.inputs)
+                 for out in unit.outputs} - made
+        if not grown:
+            return False
+        made |= grown
+        depth += 1
+    return depth > max_depth
 
 
 def _producers(foon: UniversalFOON) -> dict[ObjectNode, list[FunctionalUnit]]:

@@ -18,6 +18,7 @@ from oracle import (
     BudgetExceeded,
     GeneratorConfig,
     _execution_order,
+    accepts_depth_exhausted,
     accepts_unreachable,
     generate_instance,
     oracle_search,
@@ -141,6 +142,25 @@ def test_certificate_of_a_pure_cycle_is_the_whole_cycle():
     # Fed from the kitchen, the cycle is derivable.
     fed = build_foon(*cycle, unit([base], "chop", [b]))
     assert not accepts_unreachable(fed, a, Kitchen([base]), blocked)
+
+
+def test_depth_certificate_refuses_a_goal_within_the_bound_or_underivable(chain):
+    foon, goal, kitchen, _ = chain
+    # The chain's goal is 3 deep, and fed from the kitchen a cycle's goal 2.
+    failure = search_ids(foon, goal, kitchen, max_depth=2).failure
+    assert failure.reason is FailureReason.DEPTH_EXHAUSTED
+    assert accepts_depth_exhausted(foon, goal, kitchen, 2)
+    for max_depth in (3, 4):
+        assert not accepts_depth_exhausted(foon, goal, kitchen, max_depth)
+    a, b, base = obj("a", "s"), obj("b", "s"), obj("base", "raw")
+    cycle = build_foon(unit([b], "mix", [a]), unit([a], "stir", [b]), unit([base], "chop", [a]))
+    assert accepts_depth_exhausted(cycle, b, Kitchen([base]), 1)
+    assert not accepts_depth_exhausted(cycle, b, Kitchen([base]), 2)
+    # Without its feed neither goal is derivable, at any bound.
+    for max_depth in (-1, 0, 5):
+        assert not accepts_depth_exhausted(foon, goal, Kitchen(), max_depth)
+        assert not accepts_depth_exhausted(cycle, b, Kitchen([obj("spare", "raw")]), max_depth)
+    assert search_ids(foon, goal, Kitchen(), 2).failure.reason is FailureReason.GOAL_UNREACHABLE
 
 
 def test_generator_deterministic():

@@ -59,7 +59,9 @@ def test_ids_depth_exhausted(chain):
     outcome = search_ids(foon, goal, kitchen, max_depth=2)
     assert not outcome.ok
     assert outcome.failure.reason is FailureReason.DEPTH_EXHAUSTED
-    assert outcome.failure.stats.depth_limit_reached == 2
+    # The goal is 3 deep, so no iteration runs.
+    stats = outcome.failure.stats
+    assert (stats.expansions, stats.per_depth_expansions, stats.depth_limit_reached) == (0, [], 0)
 
 
 def test_ids_expansion_accounting(chain):

@@ -2,13 +2,15 @@
 
 The differential tests compare every search with the copies in
 ``reference_search.py`` field by field: IDS where every object of the
-goal's backward cone can be derived, the greedy searches where the goal
-can be. Elsewhere IDS, which skips what cannot be derived, must return
-the same tree, no larger counter, and a reason that follows
-derivability, and on a goal that cannot be derived the greedy searches
-must return exactly IDS's ``GoalUnreachable``. The scaling tests count
-``ObjectNode.__hash__`` calls, which every set and dict lookup of an
-object makes, and ``ObjectNode.__eq__`` calls, which every scan of a list
+goal's backward cone can be derived and the goal is within the bound,
+the greedy searches where the goal can be derived. Elsewhere IDS, which
+skips what cannot be derived and fails a goal too deep before its first
+iteration, must return the same tree, no larger counter, and a reason
+that follows derivability and depth, and on a goal that cannot be
+derived the greedy searches must return exactly IDS's
+``GoalUnreachable``. The scaling tests count ``ObjectNode.__hash__``
+calls, which every set and dict lookup of an object makes, and
+``ObjectNode.__eq__`` calls, which every scan of a list
 for an object makes, so they gate the complexity class without timing
 anything. The merge gate counts ``FunctionalUnit.__hash__`` calls, and
 the ingest gates count the ``ObjectNode`` and ``MotionNode`` instances
@@ -47,7 +49,13 @@ from foon.model import SearchView
 import reference_depths
 import reference_search as reference
 from conftest import CORPUS_DIR, build_foon, obj, unit
-from oracle import GeneratorConfig, accepts_unreachable, backward_cone, generate_instance
+from oracle import (
+    GeneratorConfig,
+    accepts_depth_exhausted,
+    accepts_unreachable,
+    backward_cone,
+    generate_instance,
+)
 
 
 def _summary(outcome):
@@ -71,19 +79,21 @@ def _rates(foon):
 
 def _assert_same_as_reference(foon, goal, kitchen, rates, max_depth):
     """Each search against the reference. When every object of the goal's
-    backward cone can be derived, IDS returns exactly what the reference
-    returns, and the result is True. Elsewhere IDS leaves an underivable
-    goal before its first iteration, and an underivable object deeper is a
-    dead end, not a visit. So there it returns the same tree, no counter
-    larger, ``GoalUnreachable`` exactly when the goal cannot be derived,
-    with blocked objects ``accepts_unreachable`` accepts, and
-    ``DepthExhausted`` on the goal alone. The greedy searches return
-    exactly what the reference returns when the goal can be derived, and
-    exactly what IDS returns when it cannot."""
+    backward cone can be derived and the goal is at most ``max_depth``
+    deep, IDS returns exactly what the reference returns, and the result
+    is True. Elsewhere IDS leaves an underivable goal, or one too deep,
+    before its first iteration, and an underivable object deeper is a dead
+    end, not a visit. So there it returns the same tree, no counter larger,
+    ``GoalUnreachable`` exactly when the goal cannot be derived, with
+    blocked objects ``accepts_unreachable`` accepts, and ``DepthExhausted``
+    on the goal alone, which ``accepts_depth_exhausted`` accepts. The
+    greedy searches return exactly what the reference returns when the goal
+    can be derived, and exactly what IDS returns when it cannot."""
     outcome = search_ids(foon, goal, kitchen, max_depth)
     expected = reference.search_ids(foon, goal, kitchen, max_depth)
     depths = derivation_depths(foon, kitchen)
-    exact = depths.keys() >= backward_cone(foon, goal, kitchen)
+    exact = (depths.keys() >= backward_cone(foon, goal, kitchen)
+             and depths[goal] <= max_depth)
     if exact:
         assert _summary(outcome) == _summary(expected)
     else:
@@ -98,6 +108,7 @@ def _assert_same_as_reference(foon, goal, kitchen, rates, max_depth):
             assert found == was
         elif goal in depths:
             assert found[1:] == [FailureReason.DEPTH_EXHAUSTED, [goal]]
+            assert accepts_depth_exhausted(foon, goal, kitchen, max_depth)
         else:
             assert found[1] is FailureReason.GOAL_UNREACHABLE
             assert accepts_unreachable(foon, goal, kitchen, found[2])
@@ -249,6 +260,21 @@ def _chain(length):
     return build_foon(*units), links[-1], Kitchen([links[0]]), units
 
 
+def test_ids_fails_a_goal_deeper_than_the_bound_before_its_first_iteration():
+    # 201 links: at bound 200 IDS once ran all 201 iterations, 20,100
+    # expansions, before it failed. Now the goal's depth decides it.
+    foon, goal, kitchen, units = _chain(201)
+    failure = search_ids(foon, goal, kitchen, max_depth=200).failure
+    assert (failure.reason, failure.blocked_objects) == (FailureReason.DEPTH_EXHAUSTED, [goal])
+    assert (failure.stats.expansions, failure.stats.per_depth_expansions) == (0, [])
+    assert accepts_depth_exhausted(foon, goal, kitchen, 200)
+    # One bound more, and the search is the reference's, counter for counter.
+    outcome = search_ids(foon, goal, kitchen, max_depth=201)
+    assert outcome.tree.units == units
+    assert len(outcome.tree.stats.per_depth_expansions) == 202
+    assert _summary(outcome) == _summary(reference.search_ids(foon, goal, kitchen, 201))
+
+
 def test_ids_solves_chain_deeper_than_recursion_limit():
     length = sys.getrecursionlimit() + 50
     foon, goal, kitchen, units = _chain(length)
@@ -377,7 +403,12 @@ def test_ids_succeeds_exactly_when_the_goal_is_within_its_derivation_depth():
                 case = (max_units, seed, max_depth, depth)
                 assert outcome.ok == (depth is not None and depth <= max_depth), case
                 if outcome.ok:
-                    assert outcome.tree.stats.depth_limit_reached == depth, case
+                    stats = outcome.tree.stats
+                    assert stats.depth_limit_reached == depth, case
+                    assert len(stats.per_depth_expansions) == depth + 1, case
+                elif depth is not None:
+                    assert outcome.failure.reason is FailureReason.DEPTH_EXHAUSTED, case
+                    assert accepts_depth_exhausted(foon, goal, kitchen, max_depth), case
                 verdicts[outcome.ok, depth is None] += 1
             for search in (search_gbfs_rate, search_gbfs_inputs):
                 assert depth is not None or not search(foon, goal, kitchen).ok
