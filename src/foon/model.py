@@ -25,6 +25,7 @@ FIELD_SEP, ITEM_SEP, ESCAPE, COMMENT = ";", ",", "\\", "#"
 EMPTY_STATE = ESCAPE + "e"
 
 _set = object.__setattr__
+_NONE = frozenset()
 
 
 def _norm(token: str) -> str:
@@ -107,7 +108,8 @@ class ObjectNode(_Frozen):
         name = _norm(name)
         motion_tag = motion_tag.strip()
         states = frozenset([state.strip().lower() for state in states])
-        ingredients = frozenset([item.strip().lower() for item in ingredients])
+        ingredients = (frozenset([item.strip().lower() for item in ingredients])
+                       if ingredients else _NONE)
         if not name:
             raise ValueError("object name must be non-empty")
         _check_writable("object", name, (name, motion_tag, *states, *ingredients))
@@ -119,11 +121,11 @@ class ObjectNode(_Frozen):
                     raise ValueError(f"object {name!r}: ingredient {item!r} contains ','")
                 if not states:
                     raise ValueError(f"object {name!r}: ingredient {item!r} without a state")
-        _set(self, "name", name)
-        _set(self, "states", states)
-        _set(self, "ingredients", ingredients)
-        _set(self, "motion_tag", motion_tag)
-        _set(self, "_hash", hash(self._identity))
+        _set_name(self, name)
+        _set_states(self, states)
+        _set_ingredients(self, ingredients)
+        _set_motion_tag(self, motion_tag)
+        _set_hash(self, hash((name, states, ingredients)))  # the hash of ``_identity``
 
     @property
     def _identity(self):
@@ -131,6 +133,11 @@ class ObjectNode(_Frozen):
 
     def __hash__(self):
         return self._hash
+
+
+# The slot setters, looked up once: ``__init__`` runs for every distinct block read.
+_set_name, _set_states, _set_ingredients, _set_motion_tag, _set_hash = (
+    getattr(ObjectNode, name).__set__ for name in ObjectNode.__slots__)
 
 
 class MotionNode(_Frozen):

@@ -16,6 +16,7 @@ newline) so identical documents emit identical bytes.
 from __future__ import annotations
 
 import re
+from itertools import islice
 
 from .model import (COMMENT, EMPTY_STATE, ESCAPE, FIELD_SEP, ITEM_SEP, FunctionalUnit, Kitchen,
                     MotionNode, MotionRateTable, ObjectNode, _Record, check_rate)
@@ -46,64 +47,111 @@ class SubgraphDocument(_Record):
         self.units = [] if units is None else units
 
 
+def _skipped(line):
+    """Whether every text format skips ``line``: blank, or a comment."""
+    stripped = line.lstrip()
+    return not stripped or stripped[0] == COMMENT
+
+
 def _iter_records(text):
-    """Yield (line_number, line) for every significant line."""
+    """Yield (line_number, line) for every line that is not skipped."""
     for number, line in enumerate(text.splitlines(), start=1):
-        stripped = line.lstrip()
-        if stripped and stripped[0] != COMMENT:
+        if not _skipped(line):
             yield number, line
 
 
-def _read_blocks(text, objects, unit_end_closes_block=True):
-    """Yield (line_number, tag, item) for the significant lines of ``text``.
+_TAGS = frozenset(("O", "S", "M", "//"))
 
-    O and S lines are read here: each object block is yielded once, as
-    ``(n, "O", ObjectNode)``, when the next line that is not an S line
-    (nor a ``//`` line, unless ``unit_end_closes_block``) or the end of
-    the text closes it; ``n`` is the number of that closing line, or of
-    the last significant line. Closing on every other line makes a bad
-    block raise before any error of a later line. Every other line is
-    yielded as ``(n, tag, line)``.
+
+def _parse(text, objects, kitchen):
+    """The units of subgraph text, or with ``kitchen`` the items of kitchen
+    text. One loop over the lines holds the block rule, the unit rules and
+    the kitchen rules: in a kitchen a ``//`` line is skipped, and does not
+    close a block, and an M line is an error.
+
+    A block (an O line and the S lines after it) is closed by the next
+    significant line that is not an S line (nor a kitchen's ``//``) or by
+    the end of the text. Its instance is looked up, or built, before that
+    line is checked, so a bad block raises before any error of a later
+    line. A line whose tag field is one of ``_TAGS`` is significant; any
+    other line is first checked with ``_skipped``.
     """
-    lines = None  # raw lines of the open block; None when no block is open
-    for number, line in _iter_records(text):
-        tag = line.partition("\t")[0].strip()
+    lines = text.splitlines()
+    units, inputs, outputs, motion = [], [], [], None
+    items = inputs  # where the next closed block goes
+    block = None  # raw lines of the open block; None when no block is open
+    for number, line in enumerate(lines, 1):
+        tag = line.partition("\t")[0]
+        if tag not in _TAGS:
+            if _skipped(line):
+                continue
+            tag = tag.strip()
         if tag == "S":
-            if lines is None:
+            if block is None:
                 raise ParseError("S line before any O line", number)
-            lines.append(line)
-            numbers.append(number)
+            block.append(line)
             continue
-        if lines is not None and (unit_end_closes_block or tag != "//"):
-            yield number, "O", _object(objects, lines, numbers)
-            lines = None
+        if block is not None and not (kitchen and tag == "//"):
+            key = "\n".join(block)
+            items.append(objects.get(key) or _object(objects, key, block, start, lines))
+            block = None
         if tag == "O":
-            lines, numbers = [line], [number]
+            block, start = [line], number
+        elif tag == "//":
+            if kitchen:
+                continue
+            if motion is None:
+                raise ParseError("unit ended by // has no M line", number)
+            if not inputs or not outputs:
+                raise ParseError("unit needs at least one input and one output", number)
+            units.append(FunctionalUnit(inputs, motion, outputs))
+            items = inputs = []
+            outputs, motion = [], None
+        elif tag != "M":
+            raise ParseError(f"unknown leading tag {tag!r}", number)
+        elif kitchen:
+            raise ParseError("M line in kitchen file", number)
+        elif motion is not None:
+            raise ParseError("second M line in one unit", number)
         else:
-            yield number, tag, line
-    if lines is not None:
-        yield number, "O", _object(objects, lines, numbers)
+            motion = objects.get(line)
+            if motion is None:
+                fields = line.split("\t")
+                if len(fields) < 2 or not fields[1].strip():
+                    raise ParseError("M line has no motion label", number)
+                motion = objects[line] = MotionNode(*fields[1:4])
+            items = outputs
+    if block is not None:
+        key = "\n".join(block)
+        items.append(objects.get(key) or _object(objects, key, block, start, lines))
+    if kitchen:
+        return inputs
+    if inputs or outputs or motion is not None:
+        raise ParseError("unterminated unit at end of file",
+                         max(n for n, line in enumerate(lines, 1) if not _skipped(line)))
+    return units
 
 
-def _object(objects, lines, numbers):
-    """The instance ``objects`` holds for a block's raw lines, built and
-    stored the first time those lines are read. The key is the lines
-    joined, one string per block, which holds less memory than a tuple."""
-    key = "\n".join(lines)
-    obj = objects.get(key)
-    if obj is not None:
-        return obj
-    head = lines[0].split("\t")
+def _object(objects, key, block, number, lines):
+    """Build and store under ``key`` the instance for ``block``, the raw
+    lines of a block whose O line is line ``number`` of ``lines``. The key
+    is those lines joined, one string per block, which holds less memory
+    than a tuple; ``_parse`` joins it to look the block up."""
+    head = block[0].split("\t")
     if len(head) < 2 or not head[1].strip():
-        raise ParseError("O line has no object name", numbers[0])
+        raise ParseError("O line has no object name", number)
     states, ingredients = [], set()
-    for number, line in zip(numbers[1:], lines[1:]):
+    for line in block[1:]:
         fields = line.split("\t")
         states.append(fields[1] if len(fields) > 1 else "")
         text = fields[2].strip() if len(fields) > 2 else ""
         if text:
-            if not (text.startswith("{") and text.endswith("}")):
-                raise ParseError(f"expected {{...}} ingredient list, got {text!r}", number)
+            if not (text[0] == "{" and text[-1] == "}"):
+                # The block's S lines are the first S lines after its O line.
+                s_lines = (n for n, other in enumerate(lines[number:], number + 1)
+                           if other.partition("\t")[0].strip() == "S")
+                raise ParseError(f"expected {{...}} ingredient list, got {text!r}",
+                                 next(islice(s_lines, block.index(line) - 1, None)))
             ingredients.update(text[1:-1].split(","))
     obj = objects[key] = ObjectNode(head[1], states, ingredients, *head[2:3])
     return obj
@@ -120,52 +168,16 @@ def parse_subgraph(text: str, objects=None) -> SubgraphDocument:
     parsed with one table share an instance wherever they repeat a block
     or an M line; without one, the text gets a table of its own.
     """
-    if objects is None:
-        objects = {}
-    units = []
-    inputs, outputs = [], []
-    motion = None
-    number = 0
-    for number, tag, item in _read_blocks(text, objects):
-        if tag == "O":
-            (outputs if motion is not None else inputs).append(item)
-        elif tag == "M":
-            if motion is not None:
-                raise ParseError("second M line in one unit", number)
-            motion = objects.get(item)
-            if motion is None:
-                fields = item.split("\t")
-                if len(fields) < 2 or not fields[1].strip():
-                    raise ParseError("M line has no motion label", number)
-                motion = objects[item] = MotionNode(*fields[1:4])
-        elif tag == "//":
-            if motion is None:
-                raise ParseError("unit ended by // has no M line", number)
-            if not inputs or not outputs:
-                raise ParseError("unit needs at least one input and one output", number)
-            units.append(FunctionalUnit(inputs, motion, outputs))
-            inputs, outputs, motion = [], [], None
-        else:
-            raise ParseError(f"unknown leading tag {tag!r}", number)
-
-    if inputs or outputs or motion is not None:
-        raise ParseError("unterminated unit at end of file", number)
-    return SubgraphDocument(units=units)
+    return SubgraphDocument(units=_parse(text, {} if objects is None else objects, False))
 
 
-def _serialize_object(obj: ObjectNode, lines):
-    lines.append(_line("O", obj.name, obj.motion_tag))
+def _serialize_object(obj: ObjectNode, append):
+    append(f"O\t{obj.name}\t{obj.motion_tag}" if obj.motion_tag else "O\t" + obj.name)
     # They go on the first S line only.
-    ingredients = "{" + ",".join(sorted(obj.ingredients)) + "}" if obj.ingredients else ""
+    ingredients = "\t{" + ",".join(sorted(obj.ingredients)) + "}" if obj.ingredients else ""
     for state in sorted(obj.states):
-        lines.append(_line("S", state, ingredients))
+        append(f"S\t{state}{ingredients}" if state or ingredients else "S")
         ingredients = ""
-
-
-def _line(*fields):
-    # Empty last fields are dropped, so an empty field is written only
-    # before a field that is not; no token holds a tab.
-    return "\t".join(fields).rstrip("\t")
 
 
 def serialize_subgraph(doc: SubgraphDocument) -> str:
@@ -173,19 +185,22 @@ def serialize_subgraph(doc: SubgraphDocument) -> str:
 
     Every object and motion can be written: what the format cannot carry
     is refused when it is built (see ``ObjectNode`` and ``MotionNode``).
+    Empty last fields are dropped, so an empty field is written only
+    before a field that is not; no token holds a tab.
     """
-    if not doc.units:
-        return ""
     lines = []
+    append = lines.append
     for unit in doc.units:
         for obj in unit.inputs:
-            _serialize_object(obj, lines)
+            _serialize_object(obj, append)
         motion = unit.motion
-        lines.append(_line("M", motion.label, motion.start_time or "", motion.end_time or ""))
+        start, end = motion.start_time or "", motion.end_time or ""
+        append(f"M\t{motion.label}\t{start}\t{end}" if end else
+               f"M\t{motion.label}\t{start}" if start else "M\t" + motion.label)
         for obj in unit.outputs:
-            _serialize_object(obj, lines)
-        lines.append("//")
-    return "\n".join(lines) + "\n"
+            _serialize_object(obj, append)
+        append("//")
+    return "\n".join(lines) + "\n" if lines else ""
 
 
 def parse_kitchen(text: str, objects=None) -> Kitchen:
@@ -195,17 +210,7 @@ def parse_kitchen(text: str, objects=None) -> Kitchen:
     written like a block of a FOON read with the same table is the FOON's
     instance.
     """
-    if objects is None:
-        objects = {}
-    items = []
-    for number, tag, item in _read_blocks(text, objects, unit_end_closes_block=False):
-        if tag == "O":
-            items.append(item)
-        elif tag == "M":
-            raise ParseError("M line in kitchen file", number)
-        elif tag != "//":
-            raise ParseError(f"unknown leading tag {tag!r}", number)
-    return Kitchen(items)
+    return Kitchen(_parse(text, {} if objects is None else objects, True))
 
 
 def parse_rates(text: str) -> MotionRateTable:

@@ -19,6 +19,7 @@ from foon import (
     parse_subgraph,
     serialize_subgraph,
 )
+from foon import parser
 from foon.model import LINE_BREAKS
 
 FREEZE_UNIT = "O\twater\t1\nS\tliquid\nM\tfreeze\t0:05\t0:10\nO\tice\t0\nS\tsolid\n//\n"
@@ -160,6 +161,44 @@ def test_identical_blocks_share_one_instance():
     assert first.inputs[0] == first.outputs[0]
     assert first.inputs[0] is not first.outputs[0]
     assert (first.inputs[0].motion_tag, first.outputs[0].motion_tag) == ("0", "1")
+
+
+def test_each_distinct_block_and_m_line_is_built_once(corpus_paths, monkeypatch):
+    # Read the corpus twice with one table: the first read builds one
+    # ObjectNode per distinct raw block and one MotionNode per distinct raw
+    # M line, and the second read builds nothing.
+    built = {ObjectNode: 0, MotionNode: 0}
+
+    def counted(cls):
+        def build(*args):
+            built[cls] += 1
+            return cls(*args)
+        return build
+    monkeypatch.setattr(parser, "ObjectNode", counted(ObjectNode))
+    monkeypatch.setattr(parser, "MotionNode", counted(MotionNode))
+    texts = [path.read_text(encoding="utf-8") for path in corpus_paths]
+    objects = {}
+    for text in texts + texts:
+        parse_subgraph(text, objects)
+
+    blocks, motions = set(), set()
+    for text in texts:
+        block = ()
+        for line in text.splitlines():
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            tag = line.partition("\t")[0].strip()
+            if tag == "S":
+                block += (line,)
+                continue
+            blocks.add(block)
+            block = (line,) if tag == "O" else ()
+            if tag == "M":
+                motions.add(line)
+        blocks.add(block)
+    blocks.discard(())
+    assert len(blocks) > 100 and len(motions) > 20
+    assert built == {ObjectNode: len(blocks), MotionNode: len(motions)}
 
 
 def test_parse_kitchen_rejects_motion():
