@@ -156,18 +156,15 @@ def cmd_merge(args) -> int:
 
 def _search(algo, goal, foon, kitchen, rates, max_depth, where=""):
     """(outcome, milliseconds) of one search, timed alone; a tree that fails
-    ``validate_task_tree`` or holds a unit that is not the FOON's own (by
-    identity) is an exit-2 error whose message ``where`` leads."""
+    ``validate_task_tree`` against ``foon`` is an exit-2 error whose message
+    ``where`` leads."""
     started = time.perf_counter()
     outcome = ALGORITHMS[algo](foon, goal, kitchen, rates, max_depth)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     if outcome.ok:
-        report = validate_task_tree(outcome.tree, kitchen, goal)
-        foreign = [position for position, unit in enumerate(outcome.tree.units)
-                   if all(unit is not known for known in foon.producing(unit.outputs[0]))]
-        if not report or foreign:
-            message = report.message or f"unit {foreign[0]} is not one of the FOON's units"
-            raise _Error(f"{where}tree failed its own check: {message}", EXIT_NO_SOLUTION)
+        report = validate_task_tree(outcome.tree, kitchen, goal, foon)
+        if not report:
+            raise _Error(f"{where}tree failed its own check: {report.message}", EXIT_NO_SOLUTION)
     return outcome, elapsed_ms
 
 
@@ -296,5 +293,19 @@ def main(argv=None) -> int:
             gc.enable()
 
 
+def run() -> int:
+    """The process entry (``python -m foon.cli`` and the ``foon`` script):
+    ``main()``, then ``gc.freeze()`` on every way out, ``--help``'s
+    ``SystemExit`` included. The collections that the interpreter runs at
+    shutdown skip frozen objects: every object the process still tracks,
+    most of them from the modules that ``site`` imports. ``main`` does not
+    freeze, because in a program that calls it in process every cycle then
+    alive would stay uncollected for the rest of that program."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

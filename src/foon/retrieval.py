@@ -80,10 +80,14 @@ class ValidationReport(_Record):
         return self.ok
 
 
-def validate_task_tree(tree: TaskTree, kitchen: Kitchen, goal: ObjectNode) -> ValidationReport:
-    """Check executable order and that the tree actually yields the goal.
+def validate_task_tree(tree: TaskTree, kitchen: Kitchen, goal: ObjectNode,
+                       foon: UniversalFOON | None = None) -> ValidationReport:
+    """Check executable order and that the tree actually yields the goal;
+    with ``foon``, then also that each unit is one of ``foon``'s own (by
+    identity, found through its producer index), not merely an equal one.
 
-    Reports the first violating (position, object) on failure.
+    Reports the first violating (position, object) on failure; a foreign
+    unit is reported by its position alone.
     """
     produced = set()
     for position, unit in enumerate(tree.units):
@@ -96,6 +100,11 @@ def validate_task_tree(tree: TaskTree, kitchen: Kitchen, goal: ObjectNode) -> Va
         produced.update(unit.outputs)
     if goal not in produced and goal not in kitchen:
         return ValidationReport(False, None, goal, "goal is neither produced nor in the kitchen")
+    if foon is not None:
+        for position, unit in enumerate(tree.units):
+            if all(unit is not known for known in foon.producing(unit.outputs[0])):
+                return ValidationReport(
+                    False, position, None, f"unit {position} is not one of the FOON's units")
     return ValidationReport(True)
 
 

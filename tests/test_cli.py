@@ -656,20 +656,48 @@ def test_a_command_pauses_the_collector_and_restores_the_callers_setting(
         return search_ids(*args, **kwargs)
 
     monkeypatch.setattr("foon.cli.search_ids", spy)
-    before = gc.isenabled()
+    before, frozen = gc.isenabled(), gc.get_freeze_count()
     (gc.enable if collecting else gc.disable)()
     try:
         codes, after = [], []
         for extra in ((), ("--max-depth", "abc")):
             codes.append(run(capsys, *_search(tmp_path / "tree.txt", *extra))[0])
-            after.append(gc.isenabled())
+            after.append((gc.isenabled(), gc.get_freeze_count()))
         with pytest.raises(SystemExit):
             main(["search", "--help"])
-        after.append(gc.isenabled())
+        after.append((gc.isenabled(), gc.get_freeze_count()))
     finally:
         (gc.enable if before else gc.disable)()
     assert (codes, during) == ([0, 1], [False])
-    assert after == [collecting] * 3
+    # ``main`` freezes nothing: that is ``run``'s, at the process's exit.
+    assert after == [(collecting, frozen)] * 3
+
+
+# Calls ``foon.cli.run`` with the command line ``python -c`` hands it, then
+# reports what the collections at shutdown would still walk.
+_RUN_AND_COUNT = ("import gc, sys, foon.cli\n"
+                  "code = foon.cli.run()\n"
+                  "print(gc.get_freeze_count(), len(gc.get_objects()), file=sys.stderr)\n"
+                  "sys.exit(code)\n")
+
+
+@pytest.mark.parametrize("command", ["merge", "search", "bench"])
+def test_the_process_entry_freezes_what_the_process_tracks_and_changes_no_output(
+        tmp_path, capsys, command):
+    code, stdout, _ = run(capsys, *_argv(command, ICE / "foon.txt", tmp_path / "main.out"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", _RUN_AND_COUNT,
+         *map(str, _argv(command, ICE / "foon.txt", tmp_path / "run.out"))],
+        env=env, capture_output=True, timeout=60)
+    frozen, tracked = map(int, done.stderr.split())
+    assert frozen > 0 and tracked < 100
+    # Bytes decoded as they are, so no newline translation hides a difference.
+    outputs = [(stdout, (tmp_path / "main.out").read_bytes().decode()),
+               (done.stdout.decode(), (tmp_path / "run.out").read_bytes().decode())]
+    if command == "bench":
+        outputs = [tuple(map(strip_timing, pair)) for pair in outputs]
+    assert (done.returncode, outputs[1]) == (code, outputs[0])
 
 
 def test_cli_start_up_imports_neither_dataclasses_nor_inspect_nor_ast():

@@ -216,6 +216,20 @@ def test_validate_reports_first_violation():
     assert report.obj.name == "missing"
 
 
+def test_validate_with_a_foon_refuses_an_equal_unit_that_is_not_its_own():
+    water, goal = obj("water", "liquid"), obj("ice", "solid")
+    own = unit([water], "freeze", [goal])
+    twin = unit([water], "freeze", [goal])
+    assert twin == own and twin is not own
+    foon, kitchen = build_foon(own), Kitchen([water])
+    assert validate_task_tree(TaskTree([twin], goal), kitchen, goal)
+    report = validate_task_tree(TaskTree([twin], goal), kitchen, goal, foon)
+    assert not report
+    assert (report.position, report.obj, report.message) == (
+        0, None, "unit 0 is not one of the FOON's units")
+    assert validate_task_tree(TaskTree([own], goal), kitchen, goal, foon)
+
+
 def test_validate_empty_tree_goal_in_kitchen():
     goal = obj("ice", "solid")
     assert validate_task_tree(TaskTree([], goal), Kitchen([goal]), goal)
