@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
+import io
 import os
 import re
 import sys
@@ -71,13 +73,10 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _max_depth(text):
-    try:
-        depth = int(text)
-    except ValueError:
-        depth = -1
-    if depth < 0:
+    # ``int`` alone would also read "+2", " 3 ", "1_0" and non-ASCII digits.
+    if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return depth
+    return int(text)
 
 
 def _to_devnull(stream):
@@ -91,6 +90,14 @@ def _to_devnull(stream):
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, fd)
     os.close(devnull)
+
+
+class _ClosedStream(io.TextIOBase):
+    """A standard stream whose descriptor was closed (``>&-``), where Python
+    leaves None: writing text to it fails as a write to that descriptor does."""
+
+    def write(self, text):
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
 
 
 def _report(line):
@@ -300,7 +307,11 @@ def run() -> int:
     shutdown skip frozen objects: every object the process still tracks,
     most of them from the modules that ``site`` imports. ``main`` does not
     freeze, because in a program that calls it in process every cycle then
-    alive would stay uncollected for the rest of that program."""
+    alive would stay uncollected for the rest of that program. A closed
+    stdout fails as a full device does, with its own reason; a program that
+    calls ``main`` has a stdout of its own."""
+    if sys.stdout is None:
+        sys.stdout = _ClosedStream()
     try:
         return main()
     finally:

@@ -361,8 +361,10 @@ class SearchStats(_Record):
 
     ``expansions`` counts candidate-unit considerations, the sum of
     ``per_depth_expansions``. ``object_visits`` counts, per
-    ``ObjectNode``, how many times the search expanded that object's
-    candidate list (once per IDS iteration that reaches it).
+    ``ObjectNode``, how often the search reached it. IDS counts each time
+    it reaches a derivable object not in the kitchen, in every iteration,
+    at the depth bound too, where it tries no candidate. The greedy
+    searches count each object they queue, once.
     """
 
     _fields = ("expansions", "max_stack_depth", "depth_limit_reached",

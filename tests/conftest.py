@@ -28,6 +28,29 @@ def build_foon(*units):
     return UniversalFOON(units)
 
 
+def raw_blocks_and_motion_lines(texts):
+    """The distinct raw object blocks (an O line and its S lines, as
+    written) and the distinct raw M lines of subgraph texts: one table of
+    blocks builds one ``ObjectNode`` and one ``MotionNode`` for each."""
+    blocks, motions = set(), set()
+    for text in texts:
+        block = ()
+        for line in text.splitlines():
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            tag = line.partition("\t")[0].strip()
+            if tag == "S":
+                block += (line,)
+                continue
+            blocks.add(block)
+            block = (line,) if tag == "O" else ()
+            if tag == "M":
+                motions.add(line)
+        blocks.add(block)
+    blocks.discard(())
+    return blocks, motions
+
+
 @pytest.fixture(scope="session")
 def corpus_paths():
     paths = sorted(CORPUS_DIR.glob("*.txt"))

@@ -22,6 +22,8 @@ from foon import (
 from foon import parser
 from foon.model import LINE_BREAKS
 
+from conftest import raw_blocks_and_motion_lines
+
 FREEZE_UNIT = "O\twater\t1\nS\tliquid\nM\tfreeze\t0:05\t0:10\nO\tice\t0\nS\tsolid\n//\n"
 
 
@@ -180,23 +182,7 @@ def test_each_distinct_block_and_m_line_is_built_once(corpus_paths, monkeypatch)
     objects = {}
     for text in texts + texts:
         parse_subgraph(text, objects)
-
-    blocks, motions = set(), set()
-    for text in texts:
-        block = ()
-        for line in text.splitlines():
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            tag = line.partition("\t")[0].strip()
-            if tag == "S":
-                block += (line,)
-                continue
-            blocks.add(block)
-            block = (line,) if tag == "O" else ()
-            if tag == "M":
-                motions.add(line)
-        blocks.add(block)
-    blocks.discard(())
+    blocks, motions = raw_blocks_and_motion_lines(texts)
     assert len(blocks) > 100 and len(motions) > 20
     assert built == {ObjectNode: len(blocks), MotionNode: len(motions)}
 

@@ -8,10 +8,10 @@ skips what cannot be derived and fails a goal too deep before its first
 iteration, must return the same tree, no larger counter, and a reason
 that follows derivability and depth, and on a goal that cannot be
 derived the greedy searches must return exactly IDS's
-``GoalUnreachable``. The scaling tests count ``ObjectNode.__hash__``
+``GoalUnreachable``. The scaling table counts ``ObjectNode.__hash__``
 calls, which every set and dict lookup of an object makes, and
-``ObjectNode.__eq__`` calls, which every scan of a list
-for an object makes, so they gate the complexity class without timing
+``ObjectNode.__eq__`` calls, which every scan of a list for an object
+makes, at sizes n and 4n, so it gates the complexity class without timing
 anything. The merge gate counts ``FunctionalUnit.__hash__`` calls, and
 the ingest gates count the ``ObjectNode`` and ``MotionNode`` instances
 one CLI command builds. The view gates count the ``SearchView``s a
@@ -48,7 +48,7 @@ from foon.model import SearchView
 
 import reference_depths
 import reference_search as reference
-from conftest import CORPUS_DIR, build_foon, obj, unit
+from conftest import CORPUS_DIR, build_foon, obj, raw_blocks_and_motion_lines, unit
 from oracle import (
     GeneratorConfig,
     accepts_depth_exhausted,
@@ -305,30 +305,6 @@ def _counted(monkeypatch, cls, methods, call):
     return result, list(calls.values())
 
 
-def _object_calls(monkeypatch, search, foon, goal, kitchen):
-    """[``ObjectNode.__hash__`` calls, ``ObjectNode.__eq__`` calls] of one search."""
-    outcome, calls = _counted(monkeypatch, ObjectNode, ("__hash__", "__eq__"),
-                              lambda: search(foon, goal, kitchen))
-    assert outcome.ok
-    return calls
-
-
-def _assert_linear(small, large):
-    # A doubled instance may cost at most 2.5x the hash and the __eq__ calls.
-    for before, after in zip(small, large):
-        assert after <= 2.5 * before, (small, large)
-
-
-def test_gbfs_inputs_hash_calls_linear_in_fan_width(monkeypatch):
-    _assert_linear(_object_calls(monkeypatch, search_gbfs_inputs, *_fan(150)),
-                   _object_calls(monkeypatch, search_gbfs_inputs, *_fan(300)))
-
-
-def test_gbfs_rate_hash_calls_linear_in_chain_length(monkeypatch):
-    _assert_linear(_object_calls(monkeypatch, search_gbfs_rate, *_chain(100)[:3]),
-                   _object_calls(monkeypatch, search_gbfs_rate, *_chain(200)[:3]))
-
-
 def _norm_calls(monkeypatch, rates, foon, goal, kitchen):
     """A gbfs-rate search's outcome, and how often it called ``_norm``."""
     calls = []
@@ -354,33 +330,51 @@ def test_gbfs_rate_normalises_only_labels_the_table_lacks(monkeypatch):
     assert calls == outcome.tree.stats.expansions == 21
 
 
-def test_validation_hash_calls_linear_in_chain_length(monkeypatch):
-    def validate(foon, goal, kitchen):
-        # A chain FOON's units, in insertion order, are its task tree.
-        return validate_task_tree(TaskTree(foon.units, goal), kitchen, goal)
-
-    _assert_linear(_object_calls(monkeypatch, validate, *_chain(100)[:3]),
-                   _object_calls(monkeypatch, validate, *_chain(200)[:3]))
+def _chain_instance(length):
+    return _chain(length)[:3]
 
 
-def test_ids_hash_calls_linear_in_chain_length_while_expansions_quadruple(monkeypatch):
-    def ids(foon, goal, kitchen):
-        return search_ids(foon, goal, kitchen, max_depth=len(foon))
-
-    small, large = _chain(100)[:3], _chain(200)[:3]
-    _assert_linear(_object_calls(monkeypatch, ids, *small),
-                   _object_calls(monkeypatch, ids, *large))
-    assert [ids(*chain).tree.stats.expansions for chain in (small, large)] == [5050, 20100]
+def _unreachable_on_every_search(foon, goal, kitchen):
+    # A fresh empty kitchen for each search, so that each builds a view of
+    # its own and walks the goal's whole backward cone, none of it derivable.
+    return all(search(foon, goal, Kitchen()).failure.reason is FailureReason.GOAL_UNREACHABLE
+               for search in (search_ids, search_gbfs_rate, search_gbfs_inputs))
 
 
-def test_derivation_depth_hash_calls_linear_in_chain_length(monkeypatch):
-    def depths(foon, goal, kitchen):
-        found, calls = _counted(monkeypatch, ObjectNode, ("__hash__", "__eq__"),
-                                lambda: derivation_depths(foon, kitchen))
-        assert found[goal] == len(foon)
-        return calls
+# Each row: an instance of size n, and work on it that returns True. The
+# work's ``ObjectNode.__hash__`` and ``__eq__`` calls on the instance of
+# size 4n may be at most 4.5 times those of size n: linear work gives about
+# 4, and n log n growth at these sizes more than 5.
+@pytest.mark.parametrize("instance, n, work", [
+    (_fan, 150, lambda foon, goal, kitchen: search_gbfs_inputs(foon, goal, kitchen).ok),
+    (_chain_instance, 100, lambda foon, goal, kitchen:
+        search_gbfs_rate(foon, goal, kitchen).ok),
+    # A chain FOON's units, in insertion order, are its task tree.
+    (_chain_instance, 100, lambda foon, goal, kitchen:
+        bool(validate_task_tree(TaskTree(foon.units, goal), kitchen, goal))),
+    (_chain_instance, 100, lambda foon, goal, kitchen:
+        search_ids(foon, goal, kitchen, max_depth=len(foon)).ok),
+    (_chain_instance, 100, lambda foon, goal, kitchen:
+        derivation_depths(foon, kitchen)[goal] == len(foon)),
+    (_ladder, 25, _unreachable_on_every_search),
+], ids=["gbfs-inputs-fan", "gbfs-rate-chain", "validation-chain", "ids-chain",
+        "derivation-depths-chain", "unreachable-ladder"])
+def test_object_hash_and_eq_calls_are_linear_in_the_instance(monkeypatch, instance, n, work):
+    counts = []
+    for size in (n, 4 * n):
+        args = instance(size)
+        done, calls = _counted(monkeypatch, ObjectNode, ("__hash__", "__eq__"),
+                               lambda: work(*args))
+        assert done
+        counts.append(calls)
+    small, large = counts
+    assert all(after <= 4.5 * before for before, after in zip(small, large)), counts
 
-    _assert_linear(depths(*_chain(100)[:3]), depths(*_chain(200)[:3]))
+
+def test_ids_expansions_quadruple_on_a_doubled_chain():
+    # The hash calls stay linear (above); the expansions are IDS's own, n(n+1)/2.
+    assert [search_ids(*_chain_instance(n), max_depth=n).tree.stats.expansions
+            for n in (100, 200)] == [5050, 20100]
 
 
 # (max_units, kitchen_fraction, seeds): small FOONs, and FOONs of up to
@@ -488,32 +482,9 @@ def test_merge_hashes_each_unit_once(monkeypatch, corpus_docs):
     assert len(foon.units) < calls
 
 
-def _raw_blocks_and_motion_lines(texts):
-    """The distinct raw object blocks (an O line and its S lines, as
-    written) and the distinct raw M lines of subgraph texts."""
-    blocks, motions = set(), set()
-    for text in texts:
-        block = []
-        for line in text.splitlines():
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            tag = line.split("\t")[0].strip()
-            if tag == "S":
-                block.append(line)
-                continue
-            if block:
-                blocks.add(tuple(block))
-            block = [line] if tag == "O" else []
-            if tag == "M":
-                motions.add(line)
-        if block:
-            blocks.add(tuple(block))
-    return blocks, motions
-
-
 def test_merge_builds_one_instance_per_raw_block_and_motion_line(monkeypatch, tmp_path):
     paths = sorted(CORPUS_DIR.glob("*.txt")) * 2
-    blocks, motions = _raw_blocks_and_motion_lines(p.read_text(encoding="utf-8") for p in paths)
+    blocks, motions = raw_blocks_and_motion_lines(p.read_text(encoding="utf-8") for p in paths)
     argv = ["merge", *map(str, paths), "--out", str(tmp_path / "universal.txt")]
     code, [objects] = _counted(monkeypatch, ObjectNode, ("__init__",), lambda: main(argv))
     assert code == 0
