@@ -68,6 +68,14 @@ def test_merge_corpus_duplicate_count(tmp_path, capsys):
     assert f"duplicates removed: {expected_dups}" in stdout
 
 
+def test_merge_parse_error_exits_1(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("O\twater\nQ\toops\n")
+    code, _, stderr = run(capsys, "merge", bad, "--out", tmp_path / "o.txt")
+    assert code == 1
+    assert f"{bad}:2" in stderr
+
+
 def test_search_goal_in_kitchen_writes_empty_tree(tmp_path, capsys):
     out = tmp_path / "tree.txt"
     code, stdout, _ = run(
@@ -139,6 +147,14 @@ def test_a_blocked_object_pastes_back_as_the_goal(tmp_path, capsys):
                           "--kitchen", kitchen, "--out", tmp_path / "t.txt")
     assert (code, stdout.splitlines()[0]) == (0, "size: 0")
     assert parse_goal(entry) == parse_subgraph(foon.read_text()).units[0].inputs[0]
+
+
+def test_search_missing_file_exits_1(tmp_path, capsys):
+    code, _, stderr = run(
+        capsys, "search", "--foon", tmp_path / "nope.txt", "--goal", "x",
+        "--out", tmp_path / "t.txt")
+    assert code == 1
+    assert "error:" in stderr
 
 
 def test_bench_ice_row(tmp_path, capsys):
@@ -298,6 +314,13 @@ def test_dot_numbers_units_in_file_order(tmp_path, capsys):
         "  m1 -> o2;\n"
         "}\n"
     )
+
+
+def test_dot_parse_error_exits_1(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("Z\n")
+    code, _, _ = run(capsys, "dot", "--foon", bad, "--out", tmp_path / "g.dot")
+    assert code == 1
 
 
 @pytest.mark.parametrize("command", ["merge", "search", "bench", "dot"])
@@ -556,6 +579,13 @@ def test_line_breaks_in_an_error_message_are_escaped(tmp_path, capsys, argv, mes
 def test_search_max_depth_0_is_accepted(tmp_path, capsys):
     code, _, stderr = run(capsys, *_search(tmp_path / "tree.txt", "--max-depth", "0"))
     assert (code, stderr) == (2, "no solution: DepthExhausted\nblocked objects: ice;solid;\n")
+
+
+def test_search_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["search", "--help"])
+    assert exit_info.value.code == 0
+    assert "--max-depth" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["search", "bench"])
