@@ -66,10 +66,18 @@ _LINE_BREAK = re.compile(f"[{LINE_BREAKS}]")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Reports a usage error as an input error: one line, exit 1."""
+    """Reports a usage error as an input error: one line, exit 1. Help that
+    stdout cannot take fails as any other print to it does, in ``main``;
+    argparse's own writer would drop the error and exit 0."""
 
     def error(self, message):
         raise _Error(message)
+
+    def _print_message(self, message, file=None):
+        if message:
+            file = file or sys.stderr
+            file.write(message)
+            file.flush()
 
 
 def _max_depth(text):

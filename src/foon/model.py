@@ -262,14 +262,20 @@ class SearchView:
     reached, and ``stocked[i]`` is 1 when it is in the kitchen.
     ``depth[i]`` is its derivation depth from the kitchen (0 when stocked),
     ``UNDERIVABLE`` when it cannot be made, and ``UNRESOLVED`` until a
-    search resolves its backward cone. A search reads an object's candidates
-    through ``expand(i)`` alone: the ``rules`` of the units producing it,
-    in FOON order, built on first use and kept. So a search that reaches k
-    objects hashes about k objects, once per view, and its loops look up
-    integers only.
+    search resolves its backward cone; it stays resolved. A search reads an
+    object's candidates through ``expand(i)``: the ``rules`` of the units
+    producing it, in FOON order, built on first use and kept in
+    ``candidates[i]``. Resolving an object builds the candidates of its
+    whole cone, so IDS, which reaches resolved objects only, reads
+    ``candidates`` directly. ``refs[i]`` counts the inputs of the rules
+    built so far that are ``i``: only an object with two or more can be
+    reached twice in one IDS iteration, so only such an object is worth
+    remembering. So a search that reaches k objects hashes about k
+    objects, once per view, and its loops look up integers only.
     """
 
-    __slots__ = ("kitchen", "producers", "ids", "objects", "stocked", "depth", "candidates")
+    __slots__ = ("kitchen", "producers", "ids", "objects", "stocked", "depth", "candidates",
+                 "refs")
     UNRESOLVED, UNDERIVABLE = -1, -2
 
     def __init__(self, producers, kitchen):
@@ -280,6 +286,7 @@ class SearchView:
         self.stocked = bytearray()
         self.depth: list[int] = []
         self.candidates: list[list | None] = []
+        self.refs: list[int] = []
 
     def intern(self, obj: ObjectNode) -> int:
         number = self.ids.get(obj)
@@ -290,13 +297,19 @@ class SearchView:
             self.stocked.append(stocked)
             self.depth.append(0 if stocked else self.UNRESOLVED)
             self.candidates.append(None)
+            self.refs.append(0)
         return number
 
     def rules(self, units) -> list:
-        """``(unit, input ids, output ids)`` for each of ``units``, in order."""
-        intern = self.intern
-        return [(unit, tuple(map(intern, unit.inputs)), tuple(map(intern, unit.outputs)))
-                for unit in units]
+        """``(unit, input ids, output ids)`` for each of ``units``, in order;
+        each input id counts one more in ``refs``."""
+        intern, refs = self.intern, self.refs
+        rules = [(unit, tuple(map(intern, unit.inputs)), tuple(map(intern, unit.outputs)))
+                 for unit in units]
+        for _, inputs, _ in rules:
+            for inp in inputs:
+                refs[inp] += 1
+        return rules
 
     def expand(self, number: int) -> list:
         """``candidates[number]``, built on first use."""
@@ -363,8 +376,9 @@ class SearchStats(_Record):
     ``per_depth_expansions``. ``object_visits`` counts, per
     ``ObjectNode``, how often the search reached it. IDS counts each time
     it reaches a derivable object not in the kitchen, in every iteration,
-    at the depth bound too, where it tries no candidate. The greedy
-    searches count each object they queue, once.
+    at the depth bound too, where it tries no candidate; an arrival that a
+    subgoal settled earlier in the iteration answers adds no expansion and
+    no visit. The greedy searches count each object they queue, once.
     """
 
     _fields = ("expansions", "max_stack_depth", "depth_limit_reached",

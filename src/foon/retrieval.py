@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import heapq
 from collections import deque
+from itertools import count
 
 from .model import (
     Kitchen,
@@ -129,68 +130,105 @@ def search_ids(
     last bound succeeds: a tree found at bound d is at most d deep, and the
     path never prunes an object's shallowest producer, whose inputs are
     shallower than every object on it.
+
+    Within one iteration, an object that ``view.refs`` says can be reached
+    twice is settled once (graph-history interaction, Kishimoto & Müller
+    2004, cannot arise from what is kept):
+    - a frame that fails with a budget below the object's depth fails under
+      every path, so a later arrival with no larger budget is a dead end;
+    - a frame that succeeds with no cycle-prune (an input on the path) in
+      its subtree failed each earlier candidate for want of budget alone,
+      so a later arrival at its level replays the subtree's units, unless
+      one of their inputs is on the path then, and the object is solved
+      again.
+    Either way the tree is the one the plain DFS returns; an arrival so
+    answered is neither a visit nor an expansion.
     """
     view = foon.search_view(kitchen)
     start = view.intern(goal)
     failure = _unreachable(view, goal, start, max_depth)
     if failure is not None:
         return failure
-    stocked, expand, depths, dead = view.stocked, view.expand, view.depth, SearchView.UNDERIVABLE
+    # ``_unreachable`` resolved every object the DFS can reach, and so built
+    # its candidates: a depth above 0 is a derivable object not stocked.
+    candidates, depths, refs = view.candidates, view.depth, view.refs
     visits: dict[int, int] = {}
     per_depth: list[int] = []
     deepest = 0
-    # ``emitted`` maps id(unit) to unit for every solved subtree's units,
-    # post-order, each once; a frame's subtree is what came after its
-    # ``mark``. A frame is [object, its candidates left, the unit being
-    # tried, that unit's inputs left, mark]; the iterators are its cursors.
-    emitted = {}
     for bound in range(depths[start] + 1):
-        emitted.clear()
-        expansions = 0
+        expansions = prunes = 0
         path = set()
+        # ``out`` holds the rules of solved subtrees, post-order; a frame's
+        # subtree is ``out[mark:]``. A frame is [object, its candidates
+        # left, the rule being tried, that rule's inputs left, mark, prunes
+        # when opened]; the iterators are its cursors.
+        out = []
+        failed = {}  # object -> the largest budget it failed at, below its depth
+        solved = {}  # (object, level) -> its subtree's rules, post-order, each once
         stack = []
         node = start
         while True:
             if node is not None:
-                # Open ``node`` at level len(stack), with budget bound - level.
-                # A derivable object not stocked has a candidate.
-                ok = stocked[node]
-                if not ok and depths[node] != dead:
+                # Arrive at ``node`` at level len(stack), with budget bound - level.
+                depth = depths[node]
+                if depth > 0:
+                    ok = False
                     level = len(stack)
-                    visits[node] = visits.get(node, 0) + 1
-                    if level > deepest:
-                        deepest = level
-                    if level < bound:
-                        path.add(node)
-                        stack.append([node, iter(expand(node)), None, None, len(emitted)])
+                    if refs[node] > 1 and level < bound:
+                        if failed.get(node, 0) >= bound - level:
+                            node = None  # a dead end
+                        else:
+                            entry = solved.get((node, level))
+                            if entry is not None and all(
+                                    path.isdisjoint(rule[1]) for rule in entry):
+                                out.extend(entry)
+                                ok = True
+                                node = None
+                    if node is not None:
+                        visits[node] = visits.get(node, 0) + 1
+                        if level > deepest:
+                            deepest = level
+                        if level < bound:
+                            path.add(node)
+                            stack.append([node, iter(candidates[node]), None, None, len(out),
+                                          prunes])
+                else:  # stocked, or underivable: a dead end
+                    ok = depth == 0
             if not stack:
                 break
             frame = stack[-1]
             if not ok:
-                # The current unit failed (or none was tried yet): try the
+                # The current rule failed (or none was tried yet): try the
                 # next candidate whose inputs avoid the path.
-                for unit, inputs, _ in frame[1]:
+                for rule in frame[1]:
                     expansions += 1
-                    if path.isdisjoint(inputs):
+                    if path.isdisjoint(rule[1]):
                         break
+                    prunes += 1
                 else:
                     stack.pop()
-                    path.discard(frame[0])
+                    node = frame[0]
+                    path.discard(node)
+                    if refs[node] > 1 and depths[node] > bound - len(stack):
+                        failed[node] = bound - len(stack)
                     node = None
                     continue
-                frame[2] = unit
-                frame[3] = iter(inputs)
-                # Drop, newest first, what the failed candidates added.
-                while len(emitted) > frame[4]:
-                    emitted.popitem()
+                frame[2] = rule
+                frame[3] = iter(rule[1])
+                if len(out) > frame[4]:  # drop what the failed candidates added
+                    del out[frame[4]:]
             node = next(frame[3], None)
             if node is None:
-                emitted[id(frame[2])] = frame[2]
+                out.append(frame[2])
                 stack.pop()
                 path.discard(frame[0])
+                if refs[frame[0]] > 1 and prunes == frame[5]:
+                    solved[frame[0], len(stack)] = list(
+                        {id(rule[0]): rule for rule in out[frame[4]:]}.values())
                 ok = True
         per_depth.append(expansions)
-    return _outcome(view, goal, per_depth, visits, None, list(emitted.values()), deepest=deepest)
+    units = list({id(rule[0]): rule[0] for rule in out}.values())
+    return _outcome(view, goal, per_depth, visits, None, units, deepest=deepest)
 
 
 def _outcome(view, goal, per_depth, visits, reason, units=(), blocked=(), deepest=0):
@@ -209,24 +247,26 @@ def _outcome(view, goal, per_depth, visits, reason, units=(), blocked=(), deepes
     return SearchOutcome(failure=SearchFailure(reason, blocked or [goal], stats))
 
 
-def _forward_chain(rules, stocked, waiting, ready, take, put):
+def _forward_chain(rules, known, floor, waiting, ready, take, put):
     """Linear forward chaining (Dowling & Gallier, 1984) on ``SearchView`` ids.
 
-    Each rule ``(unit, input ids, output ids)`` counts its inputs not
-    ``stocked``; each such object lists in ``waiting`` the rules waiting on
-    it. The rules ready at the start go into ``ready`` (a deque for level
-    order, or a heap), positions ascending. While it is not empty,
-    ``take(ready)`` removes a rule, its position is yielded, and its outputs
-    are released, each once: ``put(ready, position)`` adds each rule a
-    release readies. Objects never released stay in ``waiting``.
+    Each rule ``(unit, input ids, output ids)`` counts its inputs missing,
+    those whose ``known`` value is below ``floor``; each such object lists
+    in ``waiting`` the rules waiting on it. ``put(ready, position)`` adds
+    each rule ready at the start, positions ascending. While ``ready`` is
+    not empty, ``take(ready)`` removes a rule, its position is yielded, and
+    its outputs are released, each once: ``put`` adds each rule a release
+    readies. Objects never released stay in ``waiting``.
     """
     missing = [0] * len(rules)
     for position, (_, inputs, _) in enumerate(rules):
         for inp in inputs:
-            if not stocked[inp]:
+            if known[inp] < floor:
                 missing[position] += 1
                 waiting.setdefault(inp, []).append(position)
-    ready.extend(position for position, count in enumerate(missing) if not count)
+    for position, left in enumerate(missing):
+        if not left:
+            put(ready, position)
     while ready:
         position = take(ready)
         yield position
@@ -253,11 +293,14 @@ def _cone(view, start, enter):
 def _unreachable(view, goal, start, max_depth=None):
     """Every search's check before it expands anything: ``GoalUnreachable``
     on the leaves of ``start``'s underivable cone, or, given ``max_depth``,
-    ``DepthExhausted`` if it is deeper, or None. ``_levels`` over the cone's
-    candidates gives its exact ``view.depth``: derivations use no others."""
-    depth, stocked = view.depth, view.stocked
+    ``DepthExhausted`` if it is deeper, or None. The cone resolved is the
+    ``UNRESOLVED`` part alone: an object an earlier search resolved keeps
+    its ``view.depth``, and so did its own cone. ``_levels`` over the cone's
+    candidates, from the depths known, gives the exact depth of each member:
+    derivations use no others."""
+    depth = view.depth
     if depth[start] == SearchView.UNRESOLVED:
-        cone = _cone(view, start, lambda node: not stocked[node])
+        cone = _cone(view, start, lambda node: depth[node] == SearchView.UNRESOLVED)
         found = _levels(view, [rule for node in cone for rule in view.expand(node)])
         for node in cone:
             depth[node] = found.get(node, SearchView.UNDERIVABLE)
@@ -270,15 +313,28 @@ def _unreachable(view, goal, start, max_depth=None):
 
 
 def _levels(view, rules):
-    """Each id that ``rules`` derive from ``view``'s stocked ids, not
-    stocked itself, with its depth, in the order derived: chained first in,
-    first out, so level by level, and an id's first depth is its least."""
-    stocked, depths = view.stocked, {}
-    for position in _forward_chain(rules, stocked, {}, deque(), deque.popleft, deque.append):
-        _, inputs, outputs = rules[position]
-        depth = max([depths.get(inp, 0) for inp in inputs]) + 1
-        for out in outputs:
-            if not stocked[out]:
+    """Each id that ``rules`` derive and ``view.depth`` does not know, with
+    its depth, in the order derived. An id of known depth, stocked or
+    resolved, is there from the start at that depth. A rule fires once its
+    inputs are there, at one more than its deepest input's depth; rules fire
+    in ascending order of it, the first ready first among equals, so an id's
+    first depth is its least. Over a view that knows only the stocked ids,
+    that is first in, first out: level by level."""
+    known, depths, order = view.depth, {}, count()
+
+    def depth_of(position):
+        return max([depths.get(inp, known[inp]) for inp in rules[position][1]]) + 1
+
+    def put(ready, position):
+        heapq.heappush(ready, (depth_of(position), next(order), position))
+
+    def take(ready):
+        return heapq.heappop(ready)[2]
+
+    for position in _forward_chain(rules, known, 0, {}, [], take, put):
+        depth = depth_of(position)
+        for out in rules[position][2]:
+            if known[out] < 0:
                 depths.setdefault(out, depth)
     return depths
 
@@ -337,7 +393,7 @@ def _search_greedy(foon, goal, kitchen, selection_key) -> SearchOutcome:
     chosen = list(selected.values())
     waiting: dict[int, list[int]] = {}
     ordered = [chosen[position][0] for position in
-               _forward_chain(chosen, stocked, waiting, [], heapq.heappop, heapq.heappush)]
+               _forward_chain(chosen, stocked, 1, waiting, [], heapq.heappop, heapq.heappush)]
     if waiting:
         return _outcome(view, goal, [expansions], visits, FailureReason.UNSATISFIED_LEAVES,
                         blocked=waiting)

@@ -489,7 +489,11 @@ def test_a_failing_stderr_keeps_the_exit_code(tmp_path, argv, code, printed):
     (lambda tmp: ["merge", ICE / "foon.txt", "--out", tmp / "u.txt"], "stdout", 1),
     (lambda tmp: ["search", "--foon", ICE / "foon.txt", "--goal", "pizza",
                   "--out", tmp / "tree.txt"], "stdout", 2),
-], ids=["no-solution", "missing-foon", "merge", "merge-stdout", "no-solution-stdout"])
+    # argparse prints help itself and then exits 0.
+    (lambda tmp: ["--help"], "stdout", 1),
+    (lambda tmp: ["search", "--help"], "stdout", 1),
+], ids=["no-solution", "missing-foon", "merge", "merge-stdout", "no-solution-stdout", "help",
+        "search-help"])
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 def test_a_full_device_keeps_the_exit_code(tmp_path, argv, full, code, buffered):
     # A buffered stream keeps the text it could not write, and the

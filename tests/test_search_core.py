@@ -3,9 +3,12 @@
 The differential tests compare every search with the copies in
 ``reference_search.py`` field by field: IDS where every object of the
 goal's backward cone can be derived and the goal is within the bound,
-the greedy searches where the goal can be derived. Elsewhere IDS, which
-skips what cannot be derived and fails a goal too deep before its first
-iteration, must return the same tree, no larger counter, and a reason
+counters too unless an object of the cone is an input of two candidates
+(IDS settles such a subgoal once per iteration, so there no counter may
+be larger), and the greedy searches where the goal can be derived.
+Elsewhere IDS, which skips what cannot be derived and fails a goal too
+deep before its first iteration, must return the same tree, no larger
+counter, and a reason
 that follows derivability and depth, and on a goal that cannot be
 derived the greedy searches must return exactly IDS's
 ``GoalUnreachable``. The scaling table counts ``ObjectNode.__hash__``
@@ -43,6 +46,7 @@ from foon import (
     validate_task_tree,
 )
 from foon import model as foon_model
+from foon import retrieval
 from foon.cli import main
 from foon.model import SearchView
 
@@ -77,33 +81,54 @@ def _rates(foon):
     return MotionRateTable({label: (i % 4 + 1) / 4 for i, label in enumerate(labels)})
 
 
+def _shares_a_subgoal(foon, goal, kitchen):
+    """Whether an object of the goal's backward cone that the kitchen lacks
+    is an input of two candidates of the cone (twice in one unit counts):
+    only then can IDS reach an object twice in one iteration."""
+    uses = Counter(inp for member in backward_cone(foon, goal, kitchen) if member not in kitchen
+                   for u in foon.producing(member) for inp in u.inputs if inp not in kitchen)
+    return any(count > 1 for count in uses.values())
+
+
+def _assert_no_larger(counts, was):
+    (_, per_depth, stack, _, visits), (_, was_per_depth, was_stack, _, was_visits) = counts, was
+    assert len(per_depth) <= len(was_per_depth)
+    assert all(now <= then for now, then in zip(per_depth, was_per_depth))
+    assert stack <= was_stack
+    assert all(count <= was_visits.get(key, 0) for key, count in visits.items())
+
+
 def _assert_same_as_reference(foon, goal, kitchen, rates, max_depth):
     """Each search against the reference. When every object of the goal's
     backward cone can be derived and the goal is at most ``max_depth``
-    deep, IDS returns exactly what the reference returns, and the result
-    is True. Elsewhere IDS leaves an underivable goal, or one too deep,
-    before its first iteration, and an underivable object deeper is a dead
-    end, not a visit. So there it returns the same tree, no counter larger,
-    ``GoalUnreachable`` exactly when the goal cannot be derived, with
-    blocked objects ``accepts_unreachable`` accepts, and ``DepthExhausted``
-    on the goal alone, which ``accepts_depth_exhausted`` accepts. The
-    greedy searches return exactly what the reference returns when the goal
-    can be derived, and exactly what IDS returns when it cannot."""
+    deep, IDS returns the reference's tree or failure, and the result is
+    True; its counters are the reference's too unless the cone shares a
+    subgoal, which IDS settles once per iteration, and then no counter is
+    larger and the bounds tried are the same. Elsewhere IDS leaves an
+    underivable goal, or one too deep, before its first iteration, and an
+    underivable object deeper is a dead end, not a visit. So there it
+    returns the same tree, no counter larger, ``GoalUnreachable`` exactly
+    when the goal cannot be derived, with blocked objects
+    ``accepts_unreachable`` accepts, and ``DepthExhausted`` on the goal
+    alone, which ``accepts_depth_exhausted`` accepts. The greedy searches
+    return exactly what the reference returns when the goal can be derived,
+    and exactly what IDS returns when it cannot."""
     outcome = search_ids(foon, goal, kitchen, max_depth)
     expected = reference.search_ids(foon, goal, kitchen, max_depth)
     depths = derivation_depths(foon, kitchen)
     exact = (depths.keys() >= backward_cone(foon, goal, kitchen)
              and depths[goal] <= max_depth)
-    if exact:
-        assert _summary(outcome) == _summary(expected)
+    *found, counts = _summary(outcome)
+    *was, was_counts = _summary(expected)
+    if exact and not _shares_a_subgoal(foon, goal, kitchen):
+        assert (found, counts) == (was, was_counts)
+    elif exact:
+        assert found == was
+        assert counts[3] == was_counts[3] and len(counts[1]) == len(was_counts[1])
+        _assert_no_larger(counts, was_counts)
     else:
-        *found, (_, per_depth, stack, _, visits) = _summary(outcome)
-        *was, (_, was_per_depth, was_stack, _, was_visits) = _summary(expected)
         assert outcome.ok == expected.ok
-        assert len(per_depth) <= len(was_per_depth)
-        assert all(now <= then for now, then in zip(per_depth, was_per_depth))
-        assert stack <= was_stack
-        assert all(count <= was_visits.get(key, 0) for key, count in visits.items())
+        _assert_no_larger(counts, was_counts)
         if outcome.ok:
             assert found == was
         elif goal in depths:
@@ -245,10 +270,59 @@ def _ids_peak_bytes(foon, goal, kitchen, levels):
     return peak
 
 
+def test_ids_settles_each_shared_subgoal_once_per_iteration():
+    # Without settling, the last iteration alone makes 2^L - 1 expansions,
+    # and 20 levels take about 1,000 times what 10 do; settled, each rung's
+    # objects expand once per iteration and level.
+    expansions = {levels: search_ids(*_ladder(levels), levels).tree.stats.expansions
+                  for levels in (10, 20)}
+    assert expansions[20] <= 5 * expansions[10], expansions
+    foon, goal, kitchen = _ladder(14)
+    assert _summary(search_ids(foon, goal, kitchen, 14))[:3] == _summary(
+        reference.search_ids(foon, goal, kitchen, 14))[:3]
+
+
+def test_ids_solves_a_shared_subgoal_again_when_its_subtree_meets_the_path():
+    # s is reached twice at level 3: first through a, a2, where it is made
+    # from q, with no cycle-prune below it (t sits at the bound); then
+    # through q and t, where q is on the path. Replaying the first subtree
+    # there would make s from q again; solving it again makes it from k.
+    g, a, a2, s, q, t = (obj(name, "made") for name in ("g", "a", "a2", "s", "q", "t"))
+    d, d1, k = obj("d", "made"), obj("d1", "made"), obj("k", "raw")
+    foon = build_foon(
+        unit([a, q], "plate", [g]), unit([a2], "mix", [a]), unit([s, d], "mix", [a2]),
+        unit([q], "melt", [s]), unit([k], "cook", [s]),
+        unit([t], "stir", [q]), unit([k], "pour", [q]),
+        unit([s], "chill", [t]), unit([d1], "heat", [d]), unit([k], "chop", [d1]))
+    kitchen = Kitchen([k])
+    outcome = search_ids(foon, g, kitchen, 5)
+    assert _summary(outcome)[:3] == _summary(reference.search_ids(foon, g, kitchen, 5))[:3]
+    assert [u.motion.label for u in outcome.tree.units] == [
+        "pour", "melt", "chop", "heat", "mix", "mix", "cook", "chill", "stir", "plate"]
+
+
+def test_ids_solves_a_shared_subgoal_again_when_a_cycle_pruned_its_first_success():
+    # s is reached twice at level 2. Through a, its first candidate needs a,
+    # which is on the path, so it is made from k; through b, that candidate
+    # is open, and a is made from k instead. A success that a cycle-prune
+    # shaped is not settled.
+    g, a, b, s = (obj(name, "made") for name in ("g", "a", "b", "s"))
+    d, d1, d2, k = obj("d", "made"), obj("d1", "made"), obj("d2", "made"), obj("k", "raw")
+    foon = build_foon(
+        unit([a, b, d], "plate", [g]), unit([s], "mix", [a]), unit([k], "pour", [a]),
+        unit([s], "stir", [b]), unit([a], "melt", [s]), unit([k], "cook", [s]),
+        unit([d1], "heat", [d]), unit([d2], "chill", [d1]), unit([k], "chop", [d2]))
+    kitchen = Kitchen([k])
+    outcome = search_ids(foon, g, kitchen, 4)
+    assert _summary(outcome)[:3] == _summary(reference.search_ids(foon, g, kitchen, 4))[:3]
+    assert [u.motion.label for u in outcome.tree.units] == [
+        "cook", "mix", "pour", "melt", "stir", "chop", "chill", "heat", "plate"]
+
+
 def test_ids_space_on_shared_subgoals_grows_with_the_tree_not_its_paths():
     # The unfolded tree of a ladder doubles with every level, but the task
-    # tree holds 2 units per level: IDS keeps each unit once, so four more
-    # levels may not double its peak.
+    # tree holds 2 units per level: IDS keeps each settled subtree's units
+    # once, so four more levels may not double its peak.
     ladders = {levels: _ladder(levels) for levels in (10, 14)}
     peaks = {levels: _ids_peak_bytes(*ladder, levels) for levels, ladder in ladders.items()}
     assert peaks[14] <= 2 * peaks[10], peaks
@@ -450,6 +524,22 @@ def test_ids_on_a_shared_view_returns_what_it_does_on_a_fresh_one():
     outcome = search_ids(shared, z, kitchen)
     assert _summary(outcome) == _summary(search_ids(build_foon(*units), z, kitchen))
     assert outcome.tree.stats.object_visits == {z: 2}
+
+
+def test_a_shared_view_resolves_each_object_once(monkeypatch):
+    # The 100-link goal resolves its chain; the 150-link goal's cone adds
+    # only the 50 links above it, and the first goal again adds nothing.
+    foon, _, kitchen, units = _chain(150)
+    fired = []
+
+    def counting(view, rules, original=retrieval._levels):
+        fired.append(len(rules))
+        return original(view, rules)
+
+    monkeypatch.setattr(retrieval, "_levels", counting)
+    for goal in (units[99].outputs[0], units[149].outputs[0], units[99].outputs[0]):
+        assert search_ids(foon, goal, kitchen, 150).ok
+    assert fired == [100, 50]
 
 
 def _views_built(monkeypatch, argv):
