@@ -81,10 +81,14 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _max_depth(text):
-    # ``int`` alone would also read "+2", " 3 ", "1_0" and non-ASCII digits.
+    # ``int`` alone would also read "+2", " 3 ", "1_0" and non-ASCII digits,
+    # and it refuses more digits than the interpreter's conversion limit.
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"too many digits: {len(text)}") from None
 
 
 def _to_devnull(stream):
@@ -299,8 +303,10 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         _to_devnull(sys.stdout)  # the reader left, as ``head`` does
         return EXIT_CLOSED_STDOUT
-    except OSError as exc:  # ``_read`` and ``_write`` turn the files' errors into ``_Error``
-        _report(f"error: stdout: {exc.strerror or exc}")
+    except (OSError, UnicodeEncodeError) as exc:
+        # ``_read`` and ``_write`` turn the files' errors into ``_Error``, so this
+        # is stdout's: a full device, say, or a goal its encoding cannot print.
+        _report(f"error: stdout: {getattr(exc, 'strerror', None) or exc}")
         _to_devnull(sys.stdout)
         return EXIT_INPUT_ERROR
     finally:

@@ -262,12 +262,11 @@ class SearchView:
     reached, and ``stocked[i]`` is 1 when it is in the kitchen.
     ``depth[i]`` is its derivation depth from the kitchen (0 when stocked),
     ``UNDERIVABLE`` when it cannot be made, and ``UNRESOLVED`` until a
-    search resolves its backward cone; it stays resolved. A search reads an
-    object's candidates through ``expand(i)``: the ``rules`` of the units
-    producing it, in FOON order, built on first use and kept in
-    ``candidates[i]``. Resolving an object builds the candidates of its
-    whole cone, so IDS, which reaches resolved objects only, reads
-    ``candidates`` directly. ``refs[i]`` counts the inputs of the rules
+    search resolves its backward cone; it stays resolved. Resolving an
+    object builds, through ``expand(i)``, the candidates of each object of
+    its cone: the ``rules`` of the units producing it, in FOON order, kept
+    in ``candidates[i]``. A search reaches resolved objects alone, so it
+    reads ``candidates`` directly. ``refs[i]`` counts the inputs of the rules
     built so far that are ``i``: only an object with two or more can be
     reached twice in one IDS iteration, so only such an object is worth
     remembering. So a search that reaches k objects hashes about k

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import heapq
-from collections import deque
 from itertools import count
 
 from .model import (
@@ -242,21 +241,21 @@ def _outcome(view, goal, per_depth, visits, reason, units=(), blocked=(), deepes
                         {objects[node]: count for node, count in visits.items()})
     if reason is None:
         return SearchOutcome(tree=TaskTree(units, goal, stats))
-    blocked = [node for node in blocked if not view.expand(node)] or blocked
+    blocked = [node for node in blocked if not view.candidates[node]] or blocked
     blocked = sorted([objects[node] for node in blocked], key=object_key)
     return SearchOutcome(failure=SearchFailure(reason, blocked or [goal], stats))
 
 
-def _forward_chain(rules, known, floor, waiting, ready, take, put):
+def _forward_chain(rules, known, floor, waiting, rank):
     """Linear forward chaining (Dowling & Gallier, 1984) on ``SearchView`` ids.
 
     Each rule ``(unit, input ids, output ids)`` counts its inputs missing,
     those whose ``known`` value is below ``floor``; each such object lists
-    in ``waiting`` the rules waiting on it. ``put(ready, position)`` adds
-    each rule ready at the start, positions ascending. While ``ready`` is
-    not empty, ``take(ready)`` removes a rule, its position is yielded, and
-    its outputs are released, each once: ``put`` adds each rule a release
-    readies. Objects never released stay in ``waiting``.
+    in ``waiting`` the rules waiting on it. A rule is ready once none is
+    missing, and ``rank(position)`` ranks it then. The ready rule of least
+    rank fires, the first ready among equals: ``(rank, position)`` is
+    yielded, and its outputs are released, each once, readying the rules
+    they complete. Objects never released stay in ``waiting``.
     """
     missing = [0] * len(rules)
     for position, (_, inputs, _) in enumerate(rules):
@@ -264,17 +263,18 @@ def _forward_chain(rules, known, floor, waiting, ready, take, put):
             if known[inp] < floor:
                 missing[position] += 1
                 waiting.setdefault(inp, []).append(position)
-    for position, left in enumerate(missing):
-        if not left:
-            put(ready, position)
+    order = count()
+    ready = [(rank(position), next(order), position)
+             for position, left in enumerate(missing) if not left]
+    heapq.heapify(ready)  # the ranks at the start need not ascend
     while ready:
-        position = take(ready)
-        yield position
+        fired, _, position = heapq.heappop(ready)
+        yield fired, position
         for out in rules[position][2]:
             for waiter in waiting.pop(out, ()):
                 missing[waiter] -= 1
                 if not missing[waiter]:
-                    put(ready, waiter)
+                    heapq.heappush(ready, (rank(waiter), next(order), waiter))
 
 
 def _cone(view, start, enter):
@@ -315,24 +315,17 @@ def _unreachable(view, goal, start, max_depth=None):
 def _levels(view, rules):
     """Each id that ``rules`` derive and ``view.depth`` does not know, with
     its depth, in the order derived. An id of known depth, stocked or
-    resolved, is there from the start at that depth. A rule fires once its
-    inputs are there, at one more than its deepest input's depth; rules fire
-    in ascending order of it, the first ready first among equals, so an id's
-    first depth is its least. Over a view that knows only the stocked ids,
-    that is first in, first out: level by level."""
-    known, depths, order = view.depth, {}, count()
+    resolved, is there from the start at that depth. A rule is ranked, once
+    its inputs are there, by its depth: one more than its deepest input's.
+    ``_forward_chain`` fires the least first, so an id's first depth is its
+    least. Over a view that knows only the stocked ids, that is first in,
+    first out: level by level."""
+    known, depths = view.depth, {}
 
-    def depth_of(position):
+    def rank(position):
         return max([depths.get(inp, known[inp]) for inp in rules[position][1]]) + 1
 
-    def put(ready, position):
-        heapq.heappush(ready, (depth_of(position), next(order), position))
-
-    def take(ready):
-        return heapq.heappop(ready)[2]
-
-    for position in _forward_chain(rules, known, 0, {}, [], take, put):
-        depth = depth_of(position)
+    for depth, position in _forward_chain(rules, known, 0, {}, rank):
         for out in rules[position][2]:
             if known[out] < 0:
                 depths.setdefault(out, depth)
@@ -358,42 +351,42 @@ def _search_greedy(foon, goal, kitchen, selection_key) -> SearchOutcome:
     reached, from the goal breadth-first, gets the candidate with the least
     ``selection_key``, which takes a ``(unit, input ids, output ids)``
     candidate of the FOON's ``SearchView`` for ``kitchen``. Forward
-    chaining orders the selection; what it never releases fails it,
-    ``UnsatisfiedLeaves``. Visits and queue hold ids, not objects."""
+    chaining, ranked by discovery, orders the selection; what it never
+    releases fails it, ``UnsatisfiedLeaves``. Visits hold ids, not objects."""
     view = foon.search_view(kitchen)
     start = view.intern(goal)
     unreachable = _unreachable(view, goal, start)
     if unreachable is not None:
         return unreachable
-    stocked, expand = view.stocked, view.expand
-    # Each object not in the kitchen is queued once, when it enters ``visits``.
+    stocked, candidates = view.stocked, view.candidates
+    # Each object not in the kitchen enters ``visits`` once, and is reached
+    # in the order it entered: the list grows as it is walked.
     visits: dict[int, int] = {} if stocked[start] else {start: 1}
-    queue = deque(visits)
+    reached = list(visits)
     # Chosen candidates, once each, in discovery order. One unit can be
     # chosen for several of its outputs; a FOON holds each unit as one object.
     selected: dict[int, tuple] = {}
     expansions = 0
-    while queue:
-        candidates = expand(queue.popleft())
-        expansions += len(candidates)
-        if not candidates:
+    for node in reached:
+        rules = candidates[node]
+        expansions += len(rules)
+        if not rules:
             continue
         # Candidates are in FOON order and min keeps the first of equal
         # keys, so ties go to the earliest unit.
-        best = min(candidates, key=selection_key)
+        best = min(rules, key=selection_key)
         selected.setdefault(id(best[0]), best)
         for inp in best[1]:
             if inp not in visits and not stocked[inp]:
                 visits[inp] = 1
-                queue.append(inp)
+                reached.append(inp)
 
-    # Forward chaining orders the selection, firing the earliest-discovered
-    # ready unit first: readiness is monotone, so a min-heap of positions
-    # finds it. Objects never released, any with no candidate too, block it.
+    # Forward chaining fires the earliest-discovered ready unit first.
+    # Objects never released, any with no candidate too, block it.
     chosen = list(selected.values())
     waiting: dict[int, list[int]] = {}
-    ordered = [chosen[position][0] for position in
-               _forward_chain(chosen, stocked, 1, waiting, [], heapq.heappop, heapq.heappush)]
+    ordered = [chosen[position][0] for _, position in
+               _forward_chain(chosen, stocked, 1, waiting, lambda position: position)]
     if waiting:
         return _outcome(view, goal, [expansions], visits, FailureReason.UNSATISFIED_LEAVES,
                         blocked=waiting)

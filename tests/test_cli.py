@@ -514,6 +514,28 @@ def test_a_full_device_keeps_the_exit_code(tmp_path, argv, full, code, buffered)
         assert done.stderr == b"error: stdout: No space left on device\n"
 
 
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_a_goal_that_stdout_cannot_encode_fails_as_a_full_device_does(tmp_path, buffered):
+    # ``bench`` prints each goal spec; on an ASCII stdout "crème" fails on
+    # one line, and what stdout still buffers is dropped, not printed at exit.
+    foon, kitchen, goals = (tmp_path / name for name in ("foon.txt", "kitchen.txt", "goals.txt"))
+    foon.write_text("O\tcream\t1\nS\tliquid\nM\twhip\nO\tcrème\t0\nS\twhipped\n//\n",
+                    encoding="utf-8")
+    kitchen.write_text("O\tcream\nS\tliquid\n", encoding="utf-8")
+    goals.write_text("crème;whipped\n", encoding="utf-8")
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=os.pathsep.join(sys.path), PYTHONIOENCODING="ascii")
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    command = [sys.executable, "-m", "foon.cli", "bench", "--foon", foon, "--kitchen", kitchen,
+               "--goals", goals, "--out", tmp_path / "bench.tsv"]
+    done = subprocess.run(command, env=env, capture_output=True, timeout=60)
+    assert (done.returncode, done.stderr) == (
+        1, b"error: stdout: 'ascii' codec can't encode character '\\xe8' in position 2: "
+           b"ordinal not in range(128)\n")
+    assert done.stdout == (b"" if buffered else BENCH_HEADER.encode() + b"\n")
+
+
 @pytest.mark.skipif(not os.path.exists("/bin/sh"), reason="needs a POSIX shell")
 @pytest.mark.parametrize("command, code, stderr", [
     ("merge", 1, "error: stdout: Bad file descriptor\n"),
@@ -555,11 +577,15 @@ def _search(out, *extra):
      "error: argument --max-depth: expected an integer >= 0, got '1_0'"),
     (lambda out: _search(out, "--max-depth", "\u0663"),
      "error: argument --max-depth: expected an integer >= 0, got '\u0663'"),
+    # More digits than int() converts (4,300 unless the interpreter is told otherwise).
+    (lambda out: _search(out, "--max-depth", "9" * 5000),
+     "error: argument --max-depth: too many digits: 5000"),
     (lambda out: _search(out)[:-2], "error: the following arguments are required: --out"),
     (lambda out: _search(out, "--algo", "nope"), "error: argument --algo: invalid choice: "),
     (lambda out: [], "error: the following arguments are required: command"),
 ], ids=["max-depth-abc", "max-depth-negative", "max-depth-plus", "max-depth-spaces",
-        "max-depth-underscore", "max-depth-arabic-indic", "no-out", "unknown-algo", "no-command"])
+        "max-depth-underscore", "max-depth-arabic-indic", "max-depth-too-many-digits", "no-out",
+        "unknown-algo", "no-command"])
 def test_argument_errors_exit_1_on_one_line(tmp_path, capsys, argv, message):
     out = tmp_path / "tree.txt"
     code, stdout, stderr = run(capsys, *argv(out))

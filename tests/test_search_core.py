@@ -542,6 +542,21 @@ def test_a_shared_view_resolves_each_object_once(monkeypatch):
     assert fired == [100, 50]
 
 
+def test_a_shared_view_resolves_an_object_at_its_least_depth_when_a_deeper_rule_is_ready_first():
+    # Searching d resolves the chain to it, so x's cone is x and y alone.
+    # Its rule from d is ready at once, at depth 5, before the rule from y,
+    # at depth 2: x is 2 deep only if the chaining fires the shallower first.
+    s, d, x, y = obj("s", "raw"), obj("d", "made"), obj("x", "made"), obj("y", "made")
+    chain = [s, obj("a1", "made"), obj("a2", "made"), obj("a3", "made"), d]
+    units = [*(unit([a], "stir", [b]) for a, b in zip(chain, chain[1:])),
+             unit([d], "fry", [x]), unit([s], "cut", [y]), unit([y], "bake", [x])]
+    shared, kitchen = build_foon(*units), Kitchen([s])
+    fresh = search_ids(build_foon(*units), x, kitchen, 2)
+    assert [u.motion.label for u in fresh.tree.units] == ["cut", "bake"]
+    assert search_ids(shared, d, kitchen).ok
+    assert _summary(search_ids(shared, x, kitchen, 2)) == _summary(fresh)
+
+
 def _views_built(monkeypatch, argv):
     code, [views] = _counted(monkeypatch, SearchView, ("__init__",), lambda: main(argv))
     assert code == 0
